@@ -13,6 +13,7 @@ would silently change the chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -220,6 +221,15 @@ class FactorizationReport:
         }
 
 
+def _worst(*deviations):
+    """Largest deviation, or the first NaN: max() drops a NaN that is
+    not its first argument, which would let a NaN coefficient pass."""
+    for deviation in deviations:
+        if deviation != deviation:
+            return deviation
+    return max(deviations)
+
+
 def verify_factorization(
     c: LUCoefficients,
     size: int,
@@ -246,24 +256,26 @@ def verify_factorization(
         tolerance = 0.0 if kind in ("exact", "int") else 1e-12
 
     def bounded(name: str, deviation, detail: str = "") -> CheckResult:
-        return CheckResult(name, not deviation > tolerance, float(deviation), detail)
+        dev = float(deviation)
+        # compare the exact deviation: a tiny Fraction may round to 0.0
+        return CheckResult(name, math.isfinite(dev) and deviation <= tolerance, dev, detail)
 
     checks = []
 
     dev = 0
     for n in range(size):
-        dev = max(dev, abs(c.x[n] + c.y[n] - 1), abs(c.t[n] + c.r[n] + c.s[n] - 1))
+        dev = _worst(dev, abs(c.x[n] + c.y[n] - 1), abs(c.t[n] + c.r[n] + c.s[n] - 1))
     checks.append(bounded("coefficient_row_sums", dev, "x+y = 1 and t+r+s = 1"))
 
     dev = 0
     for seq in (c.x, c.y, c.t, c.r, c.s):
         for value in seq[:size]:
-            dev = max(dev, -value, value - 1, 0)
+            dev = _worst(dev, -value, value - 1, 0)
     checks.append(bounded("coefficient_bounds", dev, "all coefficients within [0, 1]"))
 
-    dev = max(abs(c.t[0]), abs(c.r[0]), abs(c.s[0] - 1))
+    dev = _worst(abs(c.t[0]), abs(c.r[0]), abs(c.s[0] - 1))
     if size > 1:
-        dev = max(dev, abs(c.t[1]))
+        dev = _worst(dev, abs(c.t[1]))
     checks.append(bounded("boundary_values", dev, "t_0 = t_1 = r_0 = 0 and s_0 = 1"))
 
     band_ok = product.lower_bandwidth == 2 and product.upper_bandwidth == 1
@@ -278,16 +290,16 @@ def verify_factorization(
 
     dev = 0
     for i in range(size):
-        dev = max(dev, abs(lower.row_sum(i) - 1))
+        dev = _worst(dev, abs(lower.row_sum(i) - 1))
         if upper.is_interior(i):
-            dev = max(dev, abs(upper.row_sum(i) - 1))
+            dev = _worst(dev, abs(upper.row_sum(i) - 1))
     checks.append(bounded("factor_row_sums", dev, "interior factor rows sum to 1"))
 
     dev = 0
     rows_compared = max(size - 2, 0)
     for i in range(rows_compared):
         for j, value in product.row_entries(i):
-            dev = max(dev, abs(value - direct.entry(i, j)))
+            dev = _worst(dev, abs(value - direct.entry(i, j)))
     checks.append(
         bounded("lu_identity", dev, f"product vs direct rows 0..{rows_compared - 1}")
     )
@@ -295,7 +307,7 @@ def verify_factorization(
     dev = 0
     for i in range(size):
         if product.is_interior(i):
-            dev = max(dev, abs(product.row_sum(i) - 1))
+            dev = _worst(dev, abs(product.row_sum(i) - 1))
     checks.append(bounded("product_row_sums", dev, "interior product rows sum to 1"))
 
     return FactorizationReport(size, kind, float(tolerance), tuple(checks))

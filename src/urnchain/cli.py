@@ -178,6 +178,10 @@ def cmd_coeffs(args) -> int:
 def cmd_verify(args) -> int:
     params = _resolve_parameters(args)
     _require(args.T >= 1, "--T must be >= 1")
+    _require(
+        args.tolerance is None or args.tolerance >= 0,
+        f"--tolerance must be a number >= 0 (got {args.tolerance})",
+    )
     report = banded.verify_lu(params, args.T, tolerance=args.tolerance)
     payload = {
         "schema": SCHEMA,

@@ -22,6 +22,7 @@ agree exactly on their common domain, which the test suite pins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,7 +62,10 @@ def validate_parameters(p: Parameters) -> tuple[str, ...]:
     violations = []
     for name in ("alpha", "beta", "gamma"):
         value = getattr(p, name)
-        if not value > -1:
+        # floats only: math.isfinite overflows on a huge Fraction
+        if isinstance(value, float) and not math.isfinite(value):
+            violations.append(f"{name} must be finite (got {value})")
+        elif not value > -1:
             violations.append(f"{name} must be > -1 (got {value})")
     if not abs(p.alpha - p.beta) < 1:
         violations.append(f"|alpha - beta| must be < 1 (got {abs(p.alpha - p.beta)})")
@@ -72,8 +76,9 @@ def validate_integer_parameters(ip: IntegerParameters) -> tuple[str, ...]:
     """Return the violated conditions for the integer form (empty if valid)."""
     violations = []
     for name in ("M", "N", "gamma"):
-        if not isinstance(getattr(ip, name), int):
-            violations.append(f"{name} must be an integer (got {getattr(ip, name)!r})")
+        value = getattr(ip, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            violations.append(f"{name} must be an integer (got {value!r})")
     if not violations:
         if ip.M < 1:
             violations.append(f"M must be >= 1 (got {ip.M})")

@@ -32,7 +32,13 @@ The m = 1 case is not the n = 0 instance of the odd three-urn table
 
 Every draw is an integer draw against the exact ball counts, never a
 floating-point probability; the exact enumeration oracle walks the same
-urn compositions with Fraction branch weights.
+urn compositions with Fraction branch weights.  :func:`experiment2_urn`
+and :func:`experiment1_urns` are the only code that turns (M, N, g, m)
+into ball counts: the vectorized sampler reads them through one int64
+table of the reachable states (about 64 bytes per state).  Each draw is
+one ``gen.integers`` call with an int64 bound, so drawing from an urn of
+more than 2**63 - 1 balls raises :class:`ParameterError`; the vectorized
+sampler checks the whole table before its first draw.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import IntegerParameters
+from .coefficients import IntegerParameters, ParameterError
 
 BLUE = "blue"
 RED = "red"
@@ -55,6 +61,8 @@ EXPERIMENTS = (1, 2, COMPOSITE)
 # fixed Monte Carlo chunk so results depend on (seed, stream offset)
 # only, never on thread count
 CHUNK_TRIALS = 1 << 14
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -155,15 +163,27 @@ def experiment1_urns(ip: IntegerParameters, m: int) -> tuple[Urn, ...]:
     )
 
 
-def _draw(urn: Urn, gen: np.random.Generator) -> str:
+def _int64_total(urn: Urn, m: int) -> int:
+    """Ball total of ``urn`` prepared at state m, which every draw passes
+    to ``gen.integers`` as an int64 bound."""
+    total = urn.total
+    if total > _INT64_MAX:
+        raise ParameterError(
+            f"urn {urn.name} at state {m} holds {total} balls, "
+            f"above the int64 limit 2**63 - 1 = {_INT64_MAX}"
+        )
+    return total
+
+
+def _draw(urn: Urn, m: int, gen: np.random.Generator) -> str:
     # integer draw against the exact counts
-    return BLUE if int(gen.integers(urn.total)) < urn.blue else RED
+    return BLUE if int(gen.integers(_int64_total(urn, m))) < urn.blue else RED
 
 
 def experiment2_step(ip: IntegerParameters, m: int, gen: np.random.Generator) -> StepOutcome:
     """One pure-birth step; the end state is m + 1 on blue, m on red."""
     urn = experiment2_urn(ip, m)
-    color = _draw(urn, gen)
+    color = _draw(urn, m, gen)
     end = m + 1 if color == BLUE else m
     return StepOutcome(2, m, end, ((urn.name, color),))
 
@@ -175,13 +195,13 @@ def experiment1_step(ip: IntegerParameters, m: int, gen: np.random.Generator) ->
     if not urns:
         return StepOutcome(1, 0, 0, ())
     if len(urns) == 1:
-        color = _draw(urns[0], gen)
+        color = _draw(urns[0], m, gen)
         end = 0 if color == BLUE else 1
         return StepOutcome(1, 1, end, ((urns[0].name, color),))
     urn_a, urn_b, urn_r = urns
-    first = _draw(urn_a, gen)
+    first = _draw(urn_a, m, gen)
     second_urn = urn_b if first == BLUE else urn_r
-    second = _draw(second_urn, gen)
+    second = _draw(second_urn, m, gen)
     down = (first == BLUE) + (second == BLUE)
     return StepOutcome(1, m, m - down, ((urn_a.name, first), (second_urn.name, second)))
 
@@ -258,90 +278,52 @@ def composite_distribution(ip: IntegerParameters, m: int) -> dict[int, Fraction]
     return dist
 
 
-def _birth_counts(ip: IntegerParameters, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized urn A compositions for experiment 2, elementwise over a
-    state array.  Must agree with :func:`experiment2_urn` at every state;
-    the test suite pins this."""
-    M, N, g = ip.M, ip.N, ip.gamma
-    n = states >> 1
-    scale = np.where(states & 1, N, M)
-    blue = scale * (states + g + 1)
-    red = scale * (n + 1) + 1
-    return blue, red
+def _urn_table(
+    ip: IntegerParameters, initial_state: int, steps: int, experiment
+) -> tuple[int, np.ndarray]:
+    """(lo, columns): int64 rows (blue, total) whose column 4(m - lo) + k
+    holds slot k of state m for every state m in lo..hi a lane can reach,
+    read from :func:`experiment2_urn` / :func:`experiment1_urns`.  The
+    int64 bound is checked on all of them, end states included.
 
-
-def _death_counts(
-    ip: IntegerParameters, states: np.ndarray, first_blue: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized urn compositions for experiment 1, elementwise over a
-    state array: urn A when ``first_blue`` is None, otherwise urn B on
-    blue lanes and urn R on red lanes.
-
-    States with no physical draw (state 0 always; state 0 or 1 for the
-    second draw) get the dummy composition (0, 1): the draw consumed for
-    them is always red and never moves the state.  Must agree with
-    :func:`experiment1_urns` wherever a real urn exists.
+    Slot 0 holds experiment 2's urn A, slot 1 experiment 1's urn A, and
+    slots 2 and 3 its urns R and B, so a lane's second draw reads slot
+    2 + first_blue.  Slots with no physical draw (the other experiment's,
+    state 0's, state 1's second) hold the dummy (0, 1), always red.
     """
-    M, N, g = ip.M, ip.N, ip.gamma
-    n = states >> 1
-    odd = (states & 1).astype(bool)
-    if first_blue is None:
-        blue = np.where(odd, N * n, M * n)
-        red = np.where(odd, 2 * N * n + N * g + 2 * N + 1, 2 * M * n + M * g + M + 1)
-        blue = np.where(states == 1, M, blue)
-        red = np.where(states == 1, M * g + 2 * M + 1, red)
-        no_draw = states == 0
-    else:
-        b_blue = np.where(odd, M * N * n + M - N, M * N * n + N - M)
-        b_red = np.where(odd, N * (2 * M * n + M * g + M + 1), M * (2 * N * n + N * g + 1))
-        r_blue = np.where(odd, M * (n + 1), N * n)
-        r_red = np.where(odd, 2 * M * n + M * g + 2 * M + 1, 2 * N * n + N * g + N + 1)
-        blue = np.where(first_blue, b_blue, r_blue)
-        red = np.where(first_blue, b_red, r_red)
-        no_draw = states < 2
-    return np.where(no_draw, 0, blue), np.where(no_draw, 1, red)
+    # experiment 1 lowers the state by at most two, experiment 2 raises it by at most one
+    lo = initial_state if experiment == 2 else max(0, initial_state - 2 * steps)
+    hi = initial_state if experiment == 1 else initial_state + steps
+    columns = np.zeros((2, 4 * (hi - lo + 1)), dtype=np.int64)
+    columns[1] = 1
+    for m in range(lo, hi + 1):
+        placed = []
+        if experiment != 1:
+            placed.append((0, experiment2_urn(ip, m)))
+        if experiment != 2:
+            placed.extend(zip((1, 3, 2), experiment1_urns(ip, m)))  # urns (A, B, R)
+        for k, urn in placed:
+            column = 4 * (m - lo) + k
+            columns[1, column] = _int64_total(urn, m)
+            columns[0, column] = urn.blue
+    return lo, columns
 
 
 def _advance(
-    ip: IntegerParameters, states: np.ndarray, experiment: int, gen: np.random.Generator
+    table: tuple[int, np.ndarray], states: np.ndarray, experiment: int, gen: np.random.Generator
 ) -> np.ndarray:
     """Vectorized one-experiment step of a whole state array.  Every lane
     consumes a fixed number of draws (dummy draws at drawless states), so
     the generator consumption depends only on the array length."""
+    lo, (blue, total) = table
+    base = 4 * (states - lo)
     if experiment == 2:
-        blue, red = _birth_counts(ip, states)
-        up = gen.integers(0, blue + red) < blue
-        return states + up
-    blue, red = _death_counts(ip, states, None)
-    first_blue = gen.integers(0, blue + red) < blue
-    blue, red = _death_counts(ip, states, first_blue)
-    second_blue = gen.integers(0, blue + red) < blue
-    down = np.where(
-        states >= 2,
-        first_blue.astype(np.int64) + second_blue.astype(np.int64),
-        np.where(states == 1, first_blue, 0),
-    )
-    return states - down
-
-
-def _chunk_counts(
-    ip: IntegerParameters,
-    initial_state: int,
-    steps: int,
-    experiment,
-    stream: RngStream,
-    count: int,
-) -> Counter:
-    gen = stream.generator()
-    states = np.full(count, initial_state, dtype=np.int64)
-    for _ in range(steps):
-        if experiment == COMPOSITE:
-            states = _advance(ip, states, 1, gen)
-            states = _advance(ip, states, 2, gen)
-        else:
-            states = _advance(ip, states, experiment, gen)
-    values, counts = np.unique(states, return_counts=True)
-    return Counter(dict(zip(values.tolist(), counts.tolist())))
+        return states + (gen.integers(0, total[base]) < blue[base])
+    first = base + 1
+    first_blue = gen.integers(0, total[first]) < blue[first]
+    second = base + 2 + first_blue
+    second_blue = gen.integers(0, total[second]) < blue[second]
+    return states - first_blue - second_blue
 
 
 def sample_endpoints(
@@ -363,14 +345,21 @@ def sample_endpoints(
     counts and is order-independent.
 
     Faster than looping the per-step functions: draws are vectorized per
-    chunk against the same exact ball counts.  The per-trial draw
-    sequence therefore differs from the scalar step functions; the
-    end-state distribution is identical.
+    chunk against the ball counts of the scalar urns, read through one
+    int64 table of the reachable states (about 64 bytes per state).  The
+    per-trial draw sequence therefore differs from the scalar step
+    functions; the end-state distribution is identical.  Raises
+    :class:`ParameterError` when a reachable urn holds more than
+    2**63 - 1 balls.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
     if trials < 0:
         raise ValueError(f"trials must be >= 0 (got {trials})")
+    if initial_state < 0:
+        raise ValueError(f"initial_state must be >= 0 (got {initial_state})")
+    # built only when some lane draws, so a drawless call never raises
+    table = _urn_table(ip, initial_state, steps, experiment) if trials > 0 and steps > 0 else None
     chunks = []
     remaining = trials
     index = 0
@@ -382,8 +371,13 @@ def sample_endpoints(
 
     def run(chunk: tuple[int, int]) -> Counter:
         chunk_index, count = chunk
-        stream = RngStream(seed, stream_offset + chunk_index)
-        return _chunk_counts(ip, initial_state, steps, experiment, stream, count)
+        gen = RngStream(seed, stream_offset + chunk_index).generator()
+        states = np.full(count, initial_state, dtype=np.int64)
+        for _ in range(steps):
+            for part in (1, 2) if experiment == COMPOSITE else (experiment,):
+                states = _advance(table, states, part, gen)
+        values, counts = np.unique(states, return_counts=True)
+        return Counter(dict(zip(values.tolist(), counts.tolist())))
 
     totals: Counter = Counter()
     if threads > 1 and len(chunks) > 1:

@@ -15,7 +15,9 @@ from urnchain.banded import (
 )
 from urnchain.coefficients import (
     IntegerParameters,
+    LUCoefficients,
     Parameters,
+    lu_coefficients,
     lu_coefficients_integer,
     reconstruct_row,
 )
@@ -168,6 +170,22 @@ class TestVerify:
             "band_structure",
             "product_row_sums",
         }
+
+    def test_nan_coefficient_fails_every_check_that_reads_it(self):
+        c = lu_coefficients(Parameters(0.5, 0.3, 1.0), 19)
+        x = list(c.x)
+        x[5] = float("nan")
+        report = verify_factorization(LUCoefficients(tuple(x), c.y, c.t, c.r, c.s), 20)
+        failed = {check.name for check in report.checks if not check.passed}
+        assert failed == {
+            "coefficient_row_sums", "coefficient_bounds", "factor_row_sums",
+            "lu_identity", "product_row_sums",
+        }
+        assert not report.passed
+
+    def test_nan_tolerance_fails_everything(self):
+        report = verify_factorization(lu_coefficients_integer(IP, 19), 20, tolerance=float("nan"))
+        assert not any(check.passed for check in report.checks if check.name != "band_structure")
 
     def test_negative_tolerance_fails_everything(self):
         report = verify_factorization(lu_coefficients_integer(IP, 19), 20, tolerance=-1.0)

@@ -5,11 +5,47 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from urnchain.cli import main
 from urnchain.coefficients import IntegerParameters, lu_coefficients, Parameters
-from urnchain.urns import COMPOSITE, sample_endpoints
+from urnchain.urns import CHUNK_TRIALS, COMPOSITE, sample_endpoints
 
 F = Fraction
+
+# simulate --aggregate stdout per (M, N, gamma, experiment, initial), for
+# --steps 3 --trials CHUNK_TRIALS + 2000 --seed 2024, recorded before the
+# sampler read its ball counts through the urn table: any change in how
+# the sampler consumes draws shows here
+PINNED_AGGREGATE = {
+    ("2", "3", "1", "1", 0): "state,count\n0,18384\n",
+    ("2", "3", "1", "1", 1): "state,count\n0,9687\n1,8697\n",
+    ("2", "3", "1", "1", 2): "state,count\n0,4703\n1,8219\n2,5462\n",
+    ("2", "3", "1", "1", 37): (
+        "state,count\n31,16\n32,242\n33,1299\n"
+        "34,3713\n35,6009\n36,5255\n37,1850\n"
+    ),
+    ("2", "3", "1", "2", 0): "state,count\n0,1434\n1,4280\n2,8177\n3,4493\n",
+    ("2", "3", "1", "2", 1): "state,count\n1,538\n2,4524\n3,7922\n4,5400\n",
+    ("2", "3", "1", "2", 2): "state,count\n2,1044\n3,4130\n4,8290\n5,4920\n",
+    ("2", "3", "1", "2", 37): "state,count\n37,686\n38,4048\n39,8161\n40,5489\n",
+    ("2", "3", "1", "composite", 0): "state,count\n0,2734\n1,6314\n2,7028\n3,2308\n",
+    ("2", "3", "1", "composite", 1): "state,count\n0,1268\n1,3564\n2,6816\n3,5007\n4,1729\n",
+    ("2", "3", "1", "composite", 2): (
+        "state,count\n0,535\n1,1734\n2,5015\n"
+        "3,5745\n4,4205\n5,1150\n"
+    ),
+    ("2", "3", "1", "composite", 37): (
+        "state,count\n31,1\n32,20\n33,124\n"
+        "34,538\n35,1762\n36,3632\n37,4918\n"
+        "38,4503\n39,2340\n40,546\n"
+    ),
+    ("1000003", "999983", "5", "composite", 37): (
+        "state,count\n31,1\n32,8\n33,78\n"
+        "34,391\n35,1344\n36,3276\n37,4906\n"
+        "38,4881\n39,2773\n40,726\n"
+    ),
+}
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -99,14 +135,30 @@ class TestVerify:
         assert json.loads(out)["tolerance"] == 1e-12
 
     def test_failing_verification_exits_three(self, capsys):
-        # negative tolerance makes every bounded check fail, exercising
-        # the verification-failure exit path
+        # a zero tolerance on the float route fails on rounding error,
+        # exercising the verification-failure exit path
         code, out, _ = run_cli(
-            capsys, "verify", "--M", "2", "--N", "3", "--gamma", "1",
-            "--T", "20", "--tolerance", "-1",
+            capsys, "verify", "--alpha", "0.9", "--beta", "0.1", "--gamma", "0.5",
+            "--T", "60", "--tolerance", "0",
         )
         assert code == 3
         assert json.loads(out)["passed"] is False
+
+    def test_infinite_parameter_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--alpha", ".5", "--beta", ".3", "--gamma", "inf", "--T", "20"
+        )
+        assert code == 2 and out == ""
+        assert "gamma must be finite" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_nan_or_negative_tolerance_exits_two(self, capsys, tolerance):
+        code, out, err = run_cli(
+            capsys, "verify", "--alpha", ".5", "--beta", ".3", "--gamma", "1",
+            "--T", "20", "--tolerance", tolerance,
+        )
+        assert code == 2 and out == ""
+        assert "--tolerance" in err
 
 
 class TestSimulate:
@@ -170,6 +222,31 @@ class TestSimulate:
             assert code == 0
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("aggregate", [["--aggregate"], []])
+    def test_urn_above_int64_limit_exits_two(self, capsys, aggregate):
+        code, out, err = run_cli(
+            capsys, "simulate", "--M", "1000000000", "--N", "1000000007", "--gamma", "0",
+            "--initial", "21", "--trials", "5", "--experiment", "1", *aggregate,
+        )
+        assert code == 2 and out == ""
+        assert "urn B at state" in err and "int64 limit 2**63 - 1" in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "case", list(PINNED_AGGREGATE), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_aggregate_output_is_pinned(self, capsys, case, threads):
+        # two chunks, so --threads 2 runs them in parallel
+        M, N, gamma, experiment, initial = case
+        code, out, _ = run_cli(
+            capsys, "simulate", "--M", M, "--N", N, "--gamma", gamma,
+            "--experiment", experiment, "--initial", str(initial), "--steps", "3",
+            "--trials", str(CHUNK_TRIALS + 2000), "--seed", "2024", "--threads", threads,
+            "--aggregate",
+        )
+        assert code == 0
+        assert out == PINNED_AGGREGATE[case]
 
     def test_json_output_shape(self, capsys):
         code, out, _ = run_cli(

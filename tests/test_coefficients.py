@@ -50,6 +50,22 @@ class TestValidation:
         assert validate_integer_parameters(IntegerParameters(0, 3, 1))
         assert validate_integer_parameters(IntegerParameters(2, 3, -1))
 
+    @pytest.mark.parametrize("triple", [(True, 2, 0), (2, True, 0), (2, 3, False)])
+    def test_integer_form_rejects_bool(self, triple):
+        violations = validate_integer_parameters(IntegerParameters(*triple))
+        assert len(violations) == 1 and "must be an integer" in violations[0]
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_float(self, name, value):
+        triple = {"alpha": 0.5, "beta": 0.3, "gamma": 1.0, name: value}
+        violations = validate_parameters(Parameters(**triple))
+        assert f"{name} must be finite (got {value})" in violations
+
+    def test_huge_fraction_stays_valid(self):
+        # math.isfinite would overflow converting this Fraction to a float
+        assert validate_parameters(Parameters(F(1, 2), F(1, 3), F(10**400))) == ()
+
     def test_builders_reject_invalid(self):
         with pytest.raises(ParameterError):
             lu_coefficients(Parameters(0.5, 2.0, 0.0), 5)

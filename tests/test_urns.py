@@ -2,14 +2,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from urnchain.coefficients import IntegerParameters, lu_coefficients_integer, reconstruct_row
+from urnchain.coefficients import (
+    IntegerParameters,
+    ParameterError,
+    lu_coefficients_integer,
+    reconstruct_row,
+)
 from urnchain.urns import (
     COMPOSITE,
+    EXPERIMENTS,
     RngStream,
     _advance,
-    _birth_counts,
-    _death_counts,
+    _urn_table,
     composite_distribution,
     composite_step,
     enumerate_step_distribution,
@@ -196,35 +203,106 @@ class TestBatchSampling:
         assert sum(counts.values()) == 5000
         assert min(counts) >= 0
 
-    def test_vectorized_counts_match_scalar_urns(self):
-        states = np.arange(60)
-        for ip in (IP, IntegerParameters(1, 4, 0), IntegerParameters(5, 5, 2)):
-            blue, red = _birth_counts(ip, states)
-            for m in range(60):
-                urn = experiment2_urn(ip, m)
-                assert (blue[m], red[m]) == (urn.blue, urn.red)
-            a_blue, a_red = _death_counts(ip, states, None)
-            assert (a_blue[0], a_red[0]) == (0, 1)  # dummy draw at the absorbing state
-            for m in range(1, 60):
-                urn = experiment1_urns(ip, m)[0]
-                assert (a_blue[m], a_red[m]) == (urn.blue, urn.red)
-            for branch_blue in (True, False):
-                first = np.full(60, branch_blue)
-                s_blue, s_red = _death_counts(ip, states, first)
-                for m in range(2, 60):
-                    _, urn_b, urn_r = experiment1_urns(ip, m)
-                    want = urn_b if branch_blue else urn_r
-                    assert (s_blue[m], s_red[m]) == (want.blue, want.red)
-
     def test_long_runs_never_go_negative(self):
         # 100 trials of 10^4 composite steps, watching every sub-state
-        ip = IntegerParameters(1, 1, 0)
+        table = _urn_table(IntegerParameters(1, 1, 0), 5, 10000, COMPOSITE)
         gen = RngStream(123).generator()
         states = np.full(100, 5, dtype=np.int64)
         lowest = 5
         for _ in range(10000):
-            states = _advance(ip, states, 1, gen)
+            states = _advance(table, states, 1, gen)
             lowest = min(lowest, int(states.min()))
-            states = _advance(ip, states, 2, gen)
+            states = _advance(table, states, 2, gen)
             lowest = min(lowest, int(states.min()))
         assert lowest >= 0
+
+
+INT64_MAX = 2**63 - 1
+# the second range makes M N large enough for urn B to cross 2**63 - 1
+# at the states drawn below
+BALLS = st.integers(1, 2**30) | st.integers(2**28, 2**31)
+LARGE_PARAMETERS = st.builds(IntegerParameters, BALLS, BALLS, st.integers(0, 10))
+
+
+def reachable_states(initial: int, steps: int, experiment) -> range:
+    """Experiment 1 lowers the state by at most two per step, experiment
+    2 raises it by at most one."""
+    lo = initial if experiment == 2 else max(0, initial - 2 * steps)
+    hi = initial if experiment == 1 else initial + steps
+    return range(lo, hi + 1)
+
+
+def table_urns(ip: IntegerParameters, m: int, experiment) -> list:
+    """Scalar urns in table slot order (birth A, death A, R, B); None
+    where no physical draw happens."""
+    birth = experiment2_urn(ip, m) if experiment != 1 else None
+    death = experiment1_urns(ip, m) if experiment != 2 else ()
+    a = death[0] if death else None
+    b, r = death[1:] if len(death) == 3 else (None, None)
+    return [birth, a, r, b]
+
+
+def too_large(ip: IntegerParameters, states: range, experiment) -> bool:
+    return any(
+        urn is not None and urn.total > INT64_MAX
+        for m in states
+        for urn in table_urns(ip, m, experiment)
+    )
+
+
+class TestUrnTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ip=LARGE_PARAMETERS,
+        initial=st.integers(0, 40),
+        steps=st.integers(1, 25),
+        experiment=st.sampled_from(EXPERIMENTS),
+    )
+    @example(IntegerParameters(2**30, 2**30 - 1, 10), 3, 1, COMPOSITE)  # totals near 2**62
+    def test_rows_equal_scalar_urns(self, ip, initial, steps, experiment):
+        states = reachable_states(initial, steps, experiment)
+        if too_large(ip, states, experiment):
+            with pytest.raises(ParameterError, match="int64 limit"):
+                _urn_table(ip, initial, steps, experiment)
+            return
+        lo, (blue, total) = _urn_table(ip, initial, steps, experiment)
+        assert lo == states.start and len(blue) == len(total) == 4 * len(states)
+        for m in states:
+            for k, urn in enumerate(table_urns(ip, m, experiment)):
+                want = (0, 1) if urn is None else (urn.blue, urn.total)
+                assert (blue[4 * (m - lo) + k], total[4 * (m - lo) + k]) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ip=LARGE_PARAMETERS,
+        initial=st.integers(0, 40),
+        steps=st.integers(1, 5),
+        experiment=st.sampled_from(EXPERIMENTS),
+    )
+    @example(IntegerParameters(3 * 10**9, 3 * 10**9 + 7, 0), 21, 1, 1)
+    def test_sampler_raises_when_a_reachable_total_exceeds_int64(
+        self, ip, initial, steps, experiment
+    ):
+        if too_large(ip, reachable_states(initial, steps, experiment), experiment):
+            with pytest.raises(ParameterError, match="int64 limit"):
+                sample_endpoints(ip, initial, experiment, 3, 1, steps=steps)
+        else:
+            counts = sample_endpoints(ip, initial, experiment, 3, 1, steps=steps)
+            assert sum(counts.values()) == 3
+
+    def test_negative_initial_state_rejected(self):
+        for experiment in EXPERIMENTS:
+            with pytest.raises(ValueError, match="initial_state"):
+                sample_endpoints(IP, -1, experiment, 10, 1)
+
+    def test_drawless_calls_build_no_table(self):
+        huge = IntegerParameters(3 * 10**9, 3 * 10**9 + 7, 0)
+        assert sample_endpoints(huge, 21, 1, 0, 1) == {}
+        assert sample_endpoints(huge, 21, 1, 5, 1, steps=0) == {21: 5}
+
+    @pytest.mark.parametrize("step", [experiment1_step, experiment2_step])
+    def test_scalar_draw_names_urn_state_and_limit(self, step):
+        # urn A at state 21 holds about 22 N > 2**63 - 1 balls in both experiments
+        huge = IntegerParameters(1, 5 * 10**17, 0)
+        with pytest.raises(ParameterError, match=r"urn A at state 21 .* int64 limit 2\*\*63 - 1"):
+            step(huge, 21, RngStream(0).generator())
