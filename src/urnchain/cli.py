@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import analysis, banded, urns
@@ -39,41 +39,57 @@ DEFAULT_SEED = 0x4A50  # fixed default so bare invocations reproduce byte-identi
 SCHEMA = "1"
 
 
-def _fmt(value) -> str:
-    """Exact p/q string for rationals and integers, 17 significant
-    digits for floats, empty string for undefined entries."""
-    if value is None:
-        return ""
-    if isinstance(value, (Fraction, int)):
-        return str(value)
-    return format(value, ".17g")
+def _cell(value):
+    """A float as 17 significant digits; anything else as is, for
+    csv.writer or an f-string to print its str() (None: an empty cell)."""
+    return format(value, ".17g") if isinstance(value, float) else value
 
 
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+def _exact(row: list) -> list:
+    """The row with exact rationals as p/q strings.  Rendering them
+    before any output starts keeps stdout empty when one is too long to
+    print (CPython's int-to-str digit limit)."""
+    return [str(value) if isinstance(value, Fraction) else value for value in row]
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(value) for value in row])
-    return buffer.getvalue()
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+@contextmanager
+def _output(path: str | None):
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(output) as handle:
+        handle.write(text)
+
+
+def _emit_json(payload: dict, output: str | None) -> None:
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+
+
+def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
+    """Write one table: CSV rows one at a time under a header row, or a
+    JSON payload with the rows as objects under ``key`` beside ``meta``.
+    Rows hold None, bool, int, float and str only (see :func:`_exact`),
+    so nothing can raise once the first byte is written."""
+    if args.format == "json":
+        payload = {
+            "schema": SCHEMA,
+            "command": command,
+            "parameters": _parameters_payload(params),
+            **meta,
+            key: [dict(zip(header, row)) for row in rows],
+        }
+        _emit_json(payload, args.output)
+        return 0
+    with _output(args.output) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+    return 0
 
 
 def _add_parameter_flags(parser: argparse.ArgumentParser) -> None:
@@ -155,24 +171,11 @@ def cmd_coeffs(args) -> int:
     rows = []
     for n in range(args.n_max + 1):
         trow = reconstruct_row(coeffs, n)
-        rows.append(
+        rows.append(_exact(
             [n, coeffs.x[n], coeffs.y[n], coeffs.t[n], coeffs.r[n], coeffs.s[n],
              trow.a, trow.b, trow.c, trow.d]
-        )
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "coeffs",
-            "parameters": _parameters_payload(params),
-            "rows": [
-                {name: _json_value(value) for name, value in zip(header, row)}
-                for row in rows
-            ],
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(_csv_text(header, rows), args.output)
-    return 0
+        ))
+    return _emit_table(args, params, "coeffs", header, rows)
 
 
 def cmd_verify(args) -> int:
@@ -189,28 +192,8 @@ def cmd_verify(args) -> int:
         "parameters": _parameters_payload(params),
     }
     payload.update(report.to_dict())
-    _emit(_json_text(payload), args.output)
+    _emit_json(payload, args.output)
     return 0 if report.passed else 3
-
-
-def _trajectory_rows(ip, trial, initial, steps, seed, experiment):
-    gen = urns.RngStream(seed, stream_id=trial).generator()
-    rows = [(trial, 0, 0, initial)]
-    state = initial
-    for step in range(1, steps + 1):
-        if experiment == urns.COMPOSITE:
-            first, second = urns.composite_step(ip, state, gen)
-            rows.append((trial, step, 1, first.end_state))
-            rows.append((trial, step, 2, second.end_state))
-            state = second.end_state
-        else:
-            if experiment == 1:
-                outcome = urns.experiment1_step(ip, state, gen)
-            else:
-                outcome = urns.experiment2_step(ip, state, gen)
-            rows.append((trial, step, 1, outcome.end_state))
-            state = outcome.end_state
-    return rows
 
 
 def cmd_simulate(args) -> int:
@@ -221,56 +204,28 @@ def cmd_simulate(args) -> int:
     _require(args.threads >= 1, "--threads must be >= 1")
     _require(args.seed >= 0, "--seed must be >= 0")
     experiment = urns.COMPOSITE if args.experiment == "composite" else int(args.experiment)
+    meta = dict(experiment=args.experiment, initial=args.initial, steps=args.steps,
+                trials=args.trials, seed=args.seed)
     if args.aggregate:
         counts = urns.sample_endpoints(
             ip, args.initial, experiment, args.trials, args.seed,
             steps=args.steps, threads=args.threads,
         )
-        pairs = sorted(counts.items())
-        if args.format == "json":
-            payload = {
-                "schema": SCHEMA,
-                "command": "simulate",
-                "parameters": _parameters_payload(ip),
-                "experiment": args.experiment,
-                "initial": args.initial,
-                "steps": args.steps,
-                "trials": args.trials,
-                "seed": args.seed,
-                "counts": [{"state": state, "count": count} for state, count in pairs],
-            }
-            _emit(_json_text(payload), args.output)
-        else:
-            _emit(_csv_text(["state", "count"], [list(pair) for pair in pairs]), args.output)
-        return 0
-
-    all_rows = []
-    for trial in range(args.trials):
-        all_rows.extend(
-            _trajectory_rows(ip, trial, args.initial, args.steps, args.seed, experiment)
+        return _emit_table(
+            args, ip, "simulate", ["state", "count"], sorted(counts.items()), key="counts", **meta
         )
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "simulate",
-            "parameters": _parameters_payload(ip),
-            "experiment": args.experiment,
-            "initial": args.initial,
-            "steps": args.steps,
-            "trials": args.trials,
-            "seed": args.seed,
-            "rows": [
-                {"trial": trial, "step": step, "sub_step": sub, "state": state}
-                for trial, step, sub, state in all_rows
-            ],
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(
-            _csv_text(["trial", "step", "sub_step", "state"], [list(row) for row in all_rows]),
-            args.output,
-        )
-    return 0
+    paths = urns._sample_paths(
+        ip, args.initial, experiment, args.trials, args.seed,
+        steps=args.steps, threads=args.threads,
+    )
+    sub_steps = (1, 2) if experiment == urns.COMPOSITE else (1,)
+    labels = [(0, 0)] + [(step, sub) for step in range(1, args.steps + 1) for sub in sub_steps]
+    rows = (
+        (trial, step, sub, state)
+        for trial, path in enumerate(paths)
+        for (step, sub), state in zip(labels, path.tolist())
+    )
+    return _emit_table(args, ip, "simulate", ["trial", "step", "sub_step", "state"], rows, **meta)
 
 
 def cmd_compare(args) -> int:
@@ -296,22 +251,7 @@ def cmd_compare(args) -> int:
         rows.append(
             [start, args.trials, tv, statistic, dof, threshold, statistic <= threshold]
         )
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "compare",
-            "parameters": _parameters_payload(ip),
-            "trials": args.trials,
-            "seed": args.seed,
-            "rows": [
-                {name: _json_value(value) for name, value in zip(header, row)}
-                for row in rows
-            ],
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(_csv_text(header, rows), args.output)
-    return 0
+    return _emit_table(args, ip, "compare", header, rows, trials=args.trials, seed=args.seed)
 
 
 def cmd_poly(args) -> int:
@@ -331,21 +271,8 @@ def cmd_poly(args) -> int:
             point = float(point)
         evaluation = analysis.evaluate_polynomials(coeffs, point, args.n_max)
         for n, value in enumerate(evaluation.values):
-            rows.append([point, n, value])
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "poly",
-            "parameters": _parameters_payload(params),
-            "rows": [
-                {"x": _json_value(row[0]), "n": row[1], "q": _json_value(row[2])}
-                for row in rows
-            ],
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(_csv_text(header, rows), args.output)
-    return 0
+            rows.append(_exact([point, n, value]))
+    return _emit_table(args, params, "poly", header, rows)
 
 
 def cmd_graph(args) -> int:
@@ -364,7 +291,7 @@ def cmd_graph(args) -> int:
     for i in range(args.T):
         for j, value in matrix.row_entries(i):
             if value != 0:
-                lines.append(f'  {i} -> {j} [label="{_fmt(value)}"];')
+                lines.append(f'  {i} -> {j} [label="{_cell(value)}"];')
     lines.append("}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -389,6 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
             )
         sub.add_argument("--output", help="write to this path instead of stdout")
 
+    def add_sampling(sub):
+        sub.add_argument(
+            "--seed", type=int, default=DEFAULT_SEED,
+            help=f"RNG seed; fixed default {DEFAULT_SEED:#06x} keeps bare runs reproducible",
+        )
+        sub.add_argument("--threads", type=int, default=1, help="worker threads (result-invariant)")
+
     sub = subparsers.add_parser("coeffs", help="coefficient and transition-row table")
     add_common(sub, ["csv", "json"], "csv")
     sub.add_argument("--n-max", type=int, default=10, help="largest state index (default 10)")
@@ -412,11 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--initial", type=int, default=0, help="start state (default 0)")
     sub.add_argument("--steps", type=int, default=1, help="steps per trial (default 1)")
     sub.add_argument("--trials", type=int, default=1, help="independent trials (default 1)")
-    sub.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"RNG seed; fixed default {DEFAULT_SEED:#06x} keeps bare runs reproducible",
-    )
-    sub.add_argument("--threads", type=int, default=1, help="worker threads (result-invariant)")
+    add_sampling(sub)
     sub.add_argument(
         "--aggregate", action="store_true",
         help="emit end-state counts instead of full trajectories",
@@ -432,11 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="start state; repeatable (default 0)",
     )
     sub.add_argument("--trials", type=int, default=100000, help="trials per state (default 100000)")
-    sub.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"RNG seed; fixed default {DEFAULT_SEED:#06x} keeps bare runs reproducible",
-    )
-    sub.add_argument("--threads", type=int, default=1, help="worker threads (result-invariant)")
+    add_sampling(sub)
     sub.set_defaults(func=cmd_compare)
 
     sub = subparsers.add_parser("poly", help="polynomial values via the four-band recursion")

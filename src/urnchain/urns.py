@@ -35,15 +35,22 @@ floating-point probability; the exact enumeration oracle walks the same
 urn compositions with Fraction branch weights.  :func:`experiment2_urn`
 and :func:`experiment1_urns` are the only code that turns (M, N, g, m)
 into ball counts: the vectorized sampler reads them through one int64
-table of the reachable states (about 64 bytes per state).  Each draw is
-one ``gen.integers`` call with an int64 bound, so drawing from an urn of
+table of the states its lanes draw from (about 64 bytes per state).
+That sampler is the only one the CLI runs: ``simulate --aggregate`` and
+``compare`` keep each lane's last state, trajectory mode every
+sub-state, so a trajectory depends on (seed, trials) as the counts do.
+The scalar step functions and :func:`run_trajectory` stay as the
+ball-level reference with a draw record.  Each draw is one
+``gen.integers`` call with an int64 bound, so drawing from an urn of
 more than 2**63 - 1 balls raises :class:`ParameterError`; the vectorized
-sampler checks the whole table before its first draw.
+sampler checks every urn a lane can draw from, and no other, before its
+first draw.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -282,25 +289,35 @@ def _urn_table(
     ip: IntegerParameters, initial_state: int, steps: int, experiment
 ) -> tuple[int, np.ndarray]:
     """(lo, columns): int64 rows (blue, total) whose column 4(m - lo) + k
-    holds slot k of state m for every state m in lo..hi a lane can reach,
-    read from :func:`experiment2_urn` / :func:`experiment1_urns`.  The
-    int64 bound is checked on all of them, end states included.
+    holds slot k of state m, for every state m in lo..hi a lane of a run
+    of ``steps`` >= 1 steps draws from, read from :func:`experiment2_urn`
+    / :func:`experiment1_urns`.  The int64 bound is checked on exactly
+    the urns a lane can draw from.
 
     Slot 0 holds experiment 2's urn A, slot 1 experiment 1's urn A, and
     slots 2 and 3 its urns R and B, so a lane's second draw reads slot
-    2 + first_blue.  Slots with no physical draw (the other experiment's,
-    state 0's, state 1's second) hold the dummy (0, 1), always red.
+    2 + first_blue.  Slots no lane draws from (the other experiment's,
+    state 0's, state 1's second, and states one experiment reaches only
+    for the other) hold the dummy (0, 1), always red.
     """
-    # experiment 1 lowers the state by at most two, experiment 2 raises it by at most one
-    lo = initial_state if experiment == 2 else max(0, initial_state - 2 * steps)
-    hi = initial_state if experiment == 1 else initial_state + steps
-    columns = np.zeros((2, 4 * (hi - lo + 1)), dtype=np.int64)
+    # before step k (1-based) a lane is at most 2(k - 1) below its start,
+    # and k - 1 above it in the composite chain, where experiment 2 draws
+    # after experiment 1 has lowered the state by up to two more
+    up = 1 if experiment == 1 else steps
+    death = range(max(0, initial_state - 2 * (steps - 1)), initial_state + up)
+    birth = range(max(0, initial_state - 2 * steps), initial_state + steps)
+    if experiment == 1:
+        birth = range(0)
+    if experiment == 2:
+        death, birth = range(0), range(initial_state, initial_state + steps)
+    lo, hi = (birth or death).start, initial_state + up
+    columns = np.zeros((2, 4 * (hi - lo)), dtype=np.int64)
     columns[1] = 1
-    for m in range(lo, hi + 1):
+    for m in range(lo, hi):
         placed = []
-        if experiment != 1:
+        if m in birth:
             placed.append((0, experiment2_urn(ip, m)))
-        if experiment != 2:
+        if m in death:
             placed.extend(zip((1, 3, 2), experiment1_urns(ip, m)))  # urns (A, B, R)
         for k, urn in placed:
             column = 4 * (m - lo) + k
@@ -326,6 +343,54 @@ def _advance(
     return states - first_blue - second_blue
 
 
+def _walk(
+    ip: IntegerParameters,
+    initial_state: int,
+    experiment,
+    trials: int,
+    seed: int,
+    steps: int,
+    stream_offset: int,
+    threads: int,
+    collect: Callable[[int, Iterator[np.ndarray]], object],
+) -> list:
+    """Run the trials in chunks of at most CHUNK_TRIALS lanes, chunk i
+    drawing from ``RngStream(seed, stream_offset + i)`` on up to
+    ``threads`` threads, and return ``collect(i, lanes)`` per chunk in
+    chunk order.  ``lanes`` yields the chunk's lane states: the start,
+    then the states after each sub-step."""
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0 (got {trials})")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0 (got {steps})")
+    if initial_state < 0:
+        raise ValueError(f"initial_state must be >= 0 (got {initial_state})")
+    # built only when some lane draws, so a drawless call never raises
+    table = _urn_table(ip, initial_state, steps, experiment) if trials > 0 and steps > 0 else None
+    parts = (1, 2) if experiment == COMPOSITE else (experiment,)
+
+    def lanes(index: int) -> Iterator[np.ndarray]:
+        gen = RngStream(seed, stream_offset + index).generator()
+        count = min(CHUNK_TRIALS, trials - index * CHUNK_TRIALS)
+        states = np.full(count, initial_state, dtype=np.int64)
+        yield states
+        for _ in range(steps):
+            for part in parts:
+                states = _advance(table, states, part, gen)
+                yield states
+
+    def run(index: int):
+        return collect(index, lanes(index))
+
+    chunks = range(-(-trials // CHUNK_TRIALS))
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, chunks))
+    return [run(index) for index in chunks]
+
+
 def sample_endpoints(
     ip: IntegerParameters,
     initial_state: int,
@@ -341,50 +406,54 @@ def sample_endpoints(
 
     Trials are partitioned into fixed-size chunks and chunk i draws from
     ``RngStream(seed, stream_offset + i)``, so the counts depend only on
-    (seed, stream_offset), never on the thread count.  Aggregation sums
-    counts and is order-independent.
+    (seed, stream_offset, trials), never on the thread count.
+    Aggregation sums counts and is order-independent.
 
     Faster than looping the per-step functions: draws are vectorized per
     chunk against the ball counts of the scalar urns, read through one
-    int64 table of the reachable states (about 64 bytes per state).  The
-    per-trial draw sequence therefore differs from the scalar step
-    functions; the end-state distribution is identical.  Raises
-    :class:`ParameterError` when a reachable urn holds more than
-    2**63 - 1 balls.
+    int64 table of the states a lane draws from (about 64 bytes per
+    state).  The per-trial draw sequence therefore differs from the
+    scalar step functions; the end-state distribution is identical.
+    The CLI's trajectory mode walks the same chunks, so its last states
+    are these counts.  Raises :class:`ParameterError` when an urn a lane
+    draws from holds more than 2**63 - 1 balls.
     """
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0 (got {trials})")
-    if initial_state < 0:
-        raise ValueError(f"initial_state must be >= 0 (got {initial_state})")
-    # built only when some lane draws, so a drawless call never raises
-    table = _urn_table(ip, initial_state, steps, experiment) if trials > 0 and steps > 0 else None
-    chunks = []
-    remaining = trials
-    index = 0
-    while remaining > 0:
-        count = min(CHUNK_TRIALS, remaining)
-        chunks.append((index, count))
-        remaining -= count
-        index += 1
 
-    def run(chunk: tuple[int, int]) -> Counter:
-        chunk_index, count = chunk
-        gen = RngStream(seed, stream_offset + chunk_index).generator()
-        states = np.full(count, initial_state, dtype=np.int64)
-        for _ in range(steps):
-            for part in (1, 2) if experiment == COMPOSITE else (experiment,):
-                states = _advance(table, states, part, gen)
+    def count(_: int, lanes: Iterator[np.ndarray]) -> Counter:
+        for states in lanes:
+            pass
         values, counts = np.unique(states, return_counts=True)
         return Counter(dict(zip(values.tolist(), counts.tolist())))
 
     totals: Counter = Counter()
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for partial in pool.map(run, chunks):
-                totals.update(partial)
-    else:
-        for chunk in chunks:
-            totals.update(run(chunk))
+    for partial in _walk(
+        ip, initial_state, experiment, trials, seed, steps, stream_offset, threads, count
+    ):
+        totals.update(partial)
     return totals
+
+
+def _sample_paths(
+    ip: IntegerParameters,
+    initial_state: int,
+    experiment,
+    trials: int,
+    seed: int,
+    *,
+    steps: int,
+    threads: int,
+) -> np.ndarray:
+    """Every trial's path as one row of a (trials, 1 + steps * sub_steps)
+    int64 array: the start, then the state after each sub-step (two per
+    composite step, experiment 1 then 2).  Same chunks and streams as
+    :func:`sample_endpoints`, whose counts are the last column's."""
+    sub_steps = 2 if experiment == COMPOSITE else 1
+    paths = np.empty((trials, 1 + steps * sub_steps), dtype=np.int64)
+
+    def fill(index: int, lanes: Iterator[np.ndarray]) -> None:
+        rows = paths[index * CHUNK_TRIALS : (index + 1) * CHUNK_TRIALS]
+        for column, states in enumerate(lanes):
+            rows[:, column] = states
+
+    _walk(ip, initial_state, experiment, trials, seed, steps, 0, threads, fill)
+    return paths

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,35 @@ PINNED_AGGREGATE = {
         "38,4881\n39,2773\n40,726\n"
     ),
 }
+
+
+# simulate trajectory stdout for --M 2 --N 3 --gamma 1 --initial 4
+# --steps 3 --trials 3 --seed 2024, recorded when trajectory mode moved
+# onto the vectorized lanes: any change in how it consumes draws shows here
+PINNED_TRAJECTORY = """\
+trial,step,sub_step,state
+0,0,0,4
+0,1,1,4
+0,1,2,5
+0,2,1,5
+0,2,2,6
+0,3,1,5
+0,3,2,6
+1,0,0,4
+1,1,1,3
+1,1,2,4
+1,2,1,3
+1,2,2,4
+1,3,1,4
+1,3,2,5
+2,0,0,4
+2,1,1,2
+2,1,2,3
+2,2,1,1
+2,2,2,2
+2,3,1,2
+2,3,2,2
+"""
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -212,16 +242,50 @@ class TestSimulate:
         assert {int(r["state"]): int(r["count"]) for r in parse_csv(out)} == dict(expected)
 
     def test_thread_count_is_byte_invariant(self, tmp_path, capsys):
-        paths = []
-        for threads in ("1", "8"):
-            path = tmp_path / f"agg-{threads}.csv"
-            code, _, _ = run_cli(
-                capsys, *self.ARGS, "--aggregate", "--trials", "100000",
-                "--seed", "42", "--threads", threads, "--output", str(path),
-            )
-            assert code == 0
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        modes = {
+            "agg": ["--aggregate", "--trials", "100000"],
+            "traj": ["--steps", "3", "--trials", str(CHUNK_TRIALS + 2000)],
+        }
+        for mode, flags in modes.items():
+            paths = []
+            for threads in ("1", "8"):
+                path = tmp_path / f"{mode}-{threads}.csv"
+                code, _, _ = run_cli(
+                    capsys, *self.ARGS, *flags,
+                    "--seed", "42", "--threads", threads, "--output", str(path),
+                )
+                assert code == 0
+                paths.append(path)
+            assert paths[0].read_bytes() == paths[1].read_bytes(), mode
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("experiment", ["1", "2", "composite"])
+    def test_trajectory_end_states_equal_aggregate(self, capsys, experiment, threads):
+        # two chunks: both modes walk the same lanes on the same streams
+        argv = [
+            *self.ARGS, "--experiment", experiment, "--steps", "2",
+            "--trials", str(CHUNK_TRIALS + 2000), "--seed", "17", "--threads", threads,
+        ]
+        code, trajectories, _ = run_cli(capsys, *argv)
+        assert code == 0
+        last = ("2", "2" if experiment == "composite" else "1")  # (step, sub_step)
+        ends = Counter(
+            int(row["state"]) for row in parse_csv(trajectories)
+            if (row["step"], row["sub_step"]) == last
+        )
+        code, aggregate, _ = run_cli(capsys, *argv, "--aggregate")
+        assert code == 0
+        assert sum(ends.values()) == CHUNK_TRIALS + 2000
+        assert aggregate == "state,count\n" + "".join(
+            f"{state},{count}\n" for state, count in sorted(ends.items())
+        )
+
+    def test_trajectory_output_is_pinned(self, capsys):
+        code, out, _ = run_cli(
+            capsys, *self.ARGS, "--steps", "3", "--trials", "3", "--seed", "2024"
+        )
+        assert code == 0
+        assert out == PINNED_TRAJECTORY
 
     @pytest.mark.parametrize("aggregate", [["--aggregate"], []])
     def test_urn_above_int64_limit_exits_two(self, capsys, aggregate):
@@ -230,7 +294,20 @@ class TestSimulate:
             "--initial", "21", "--trials", "5", "--experiment", "1", *aggregate,
         )
         assert code == 2 and out == ""
-        assert "urn B at state" in err and "int64 limit 2**63 - 1" in err
+        # the single step draws at state 21 only
+        assert "urn B at state 21 " in err and "int64 limit 2**63 - 1" in err
+
+    @pytest.mark.parametrize("aggregate", [["--aggregate"], []])
+    def test_undrawn_urn_above_int64_limit_is_not_checked(self, capsys, aggregate):
+        # urn A at the end state 1 would hold 3 N + 1 > 2**63 - 1 balls,
+        # but one birth step draws at state 0 only
+        code, out, err = run_cli(
+            capsys, "simulate", "--M", "1", "--N", "4000000000000000000", "--gamma", "0",
+            "--initial", "0", "--steps", "1", "--experiment", "2", "--trials", "5",
+            *aggregate,
+        )
+        assert code == 0 and err == ""
+        assert out.startswith("state,count\n" if aggregate else "trial,step,sub_step,state\n")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(

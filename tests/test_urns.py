@@ -224,29 +224,38 @@ BALLS = st.integers(1, 2**30) | st.integers(2**28, 2**31)
 LARGE_PARAMETERS = st.builds(IntegerParameters, BALLS, BALLS, st.integers(0, 10))
 
 
-def reachable_states(initial: int, steps: int, experiment) -> range:
-    """Experiment 1 lowers the state by at most two per step, experiment
-    2 raises it by at most one."""
-    lo = initial if experiment == 2 else max(0, initial - 2 * steps)
-    hi = initial if experiment == 1 else initial + steps
-    return range(lo, hi + 1)
+def drawn_states(initial: int, steps: int, experiment) -> tuple[set, set]:
+    """(death, birth): the states experiment 1 and experiment 2 draw
+    from, walked out one sub-step at a time.  Experiment 1 lowers the
+    state by at most two (not below 0), experiment 2 raises it by at
+    most one."""
+    death, birth, states = set(), set(), {initial}
+    for _ in range(steps):
+        if experiment != 2:
+            death |= states
+            states = {max(0, m - down) for m in states for down in (0, 1, 2)}
+        if experiment != 1:
+            birth |= states
+            states = {m + up for m in states for up in (0, 1)}
+    return death, birth
 
 
-def table_urns(ip: IntegerParameters, m: int, experiment) -> list:
+def table_urns(ip: IntegerParameters, m: int, death: set, birth: set) -> list:
     """Scalar urns in table slot order (birth A, death A, R, B); None
-    where no physical draw happens."""
-    birth = experiment2_urn(ip, m) if experiment != 1 else None
-    death = experiment1_urns(ip, m) if experiment != 2 else ()
-    a = death[0] if death else None
-    b, r = death[1:] if len(death) == 3 else (None, None)
-    return [birth, a, r, b]
+    where no lane draws."""
+    born = experiment2_urn(ip, m) if m in birth else None
+    dying = experiment1_urns(ip, m) if m in death else ()
+    a = dying[0] if dying else None
+    b, r = dying[1:] if len(dying) == 3 else (None, None)
+    return [born, a, r, b]
 
 
-def too_large(ip: IntegerParameters, states: range, experiment) -> bool:
+def too_large(ip: IntegerParameters, initial: int, steps: int, experiment) -> bool:
+    death, birth = drawn_states(initial, steps, experiment)
     return any(
         urn is not None and urn.total > INT64_MAX
-        for m in states
-        for urn in table_urns(ip, m, experiment)
+        for m in death | birth
+        for urn in table_urns(ip, m, death, birth)
     )
 
 
@@ -260,15 +269,16 @@ class TestUrnTable:
     )
     @example(IntegerParameters(2**30, 2**30 - 1, 10), 3, 1, COMPOSITE)  # totals near 2**62
     def test_rows_equal_scalar_urns(self, ip, initial, steps, experiment):
-        states = reachable_states(initial, steps, experiment)
-        if too_large(ip, states, experiment):
+        if too_large(ip, initial, steps, experiment):
             with pytest.raises(ParameterError, match="int64 limit"):
                 _urn_table(ip, initial, steps, experiment)
             return
+        death, birth = drawn_states(initial, steps, experiment)
+        states = range(min(death | birth), max(death | birth) + 1)
         lo, (blue, total) = _urn_table(ip, initial, steps, experiment)
         assert lo == states.start and len(blue) == len(total) == 4 * len(states)
         for m in states:
-            for k, urn in enumerate(table_urns(ip, m, experiment)):
+            for k, urn in enumerate(table_urns(ip, m, death, birth)):
                 want = (0, 1) if urn is None else (urn.blue, urn.total)
                 assert (blue[4 * (m - lo) + k], total[4 * (m - lo) + k]) == want
 
@@ -283,7 +293,7 @@ class TestUrnTable:
     def test_sampler_raises_when_a_reachable_total_exceeds_int64(
         self, ip, initial, steps, experiment
     ):
-        if too_large(ip, reachable_states(initial, steps, experiment), experiment):
+        if too_large(ip, initial, steps, experiment):
             with pytest.raises(ParameterError, match="int64 limit"):
                 sample_endpoints(ip, initial, experiment, 3, 1, steps=steps)
         else:
