@@ -13,8 +13,6 @@ from .analysis import (
     chi_square_statistic,
     chi_square_threshold,
     evaluate_polynomials,
-    sample_from_row,
-    sample_row_endpoints,
     tv_distance,
 )
 from .banded import (
@@ -22,7 +20,6 @@ from .banded import (
     FactorizationReport,
     birth_factor,
     death_factor,
-    identity,
     multiply,
     reconstructed_matrix,
     verify_factorization,
@@ -91,7 +88,6 @@ __all__ = [
     "experiment1_urns",
     "experiment2_step",
     "experiment2_urn",
-    "identity",
     "lu_coefficients",
     "lu_coefficients_integer",
     "multiply",
@@ -100,8 +96,6 @@ __all__ = [
     "require_valid",
     "run_trajectory",
     "sample_endpoints",
-    "sample_from_row",
-    "sample_row_endpoints",
     "tv_distance",
     "validate_integer_parameters",
     "validate_parameters",

@@ -1,18 +1,14 @@
-"""Reference sampling from exact transition rows, empirical-vs-exact
-statistics, and evaluation of the polynomial family driven by the
-composite chain's four-band recursion."""
+"""Empirical-vs-exact statistics and evaluation of the polynomial family
+driven by the composite chain's four-band recursion."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
 from scipy.stats import chi2
 
 from .coefficients import LUCoefficients, Scalar, TransitionRow, reconstruct_row
-from .urns import RngStream
 
 
 @dataclass(frozen=True)
@@ -81,30 +77,6 @@ def chi_square_threshold(dof: int, level: float = 0.999) -> float:
     """Upper quantile of the chi-square distribution used as the
     fixed-seed acceptance cut."""
     return float(chi2.ppf(level, dof))
-
-
-def _cumulative(row: TransitionRow) -> tuple[list[int], np.ndarray]:
-    probs = row.probabilities()
-    outcomes = sorted(probs)
-    return outcomes, np.cumsum([float(probs[state]) for state in outcomes])
-
-
-def sample_from_row(row: TransitionRow, gen: np.random.Generator) -> int:
-    """Sample one end state from an exact transition row; the reference
-    sampler the urn mechanics are compared against."""
-    outcomes, cumulative = _cumulative(row)
-    index = int(np.searchsorted(cumulative, gen.random(), side="right"))
-    return outcomes[min(index, len(outcomes) - 1)]
-
-
-def sample_row_endpoints(row: TransitionRow, trials: int, stream: RngStream) -> Counter:
-    """Vectorized end-state counts of repeated draws from a row."""
-    outcomes, cumulative = _cumulative(row)
-    gen = stream.generator()
-    indices = np.searchsorted(cumulative, gen.random(trials), side="right")
-    indices = np.minimum(indices, len(outcomes) - 1)
-    counts = np.bincount(indices, minlength=len(outcomes))
-    return Counter({state: int(count) for state, count in zip(outcomes, counts) if count})
 
 
 @dataclass(frozen=True)

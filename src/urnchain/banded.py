@@ -105,13 +105,6 @@ class BandedMatrix:
             return "float"
         return "exact" if has_fraction else "int"
 
-    def to_dense(self) -> list[list[Scalar]]:
-        return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
-
-
-def identity(size: int) -> BandedMatrix:
-    return BandedMatrix.build(size, 0, 0, lambda i, j: 1)
-
 
 def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     """Banded product; bandwidths add.  Exact when both factors are."""
@@ -213,7 +206,8 @@ class FactorizationReport:
                 {
                     "name": check.name,
                     "passed": check.passed,
-                    "max_deviation": check.deviation,
+                    # JSON has no NaN or infinity; such a check has failed
+                    "max_deviation": check.deviation if math.isfinite(check.deviation) else None,
                     "detail": check.detail,
                 }
                 for check in self.checks

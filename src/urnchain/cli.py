@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -45,10 +46,16 @@ def _cell(value):
     return format(value, ".17g") if isinstance(value, float) else value
 
 
-def _exact(row: list) -> list:
-    """The row with exact rationals as p/q strings.  Rendering them
-    before any output starts keeps stdout empty when one is too long to
-    print (CPython's int-to-str digit limit)."""
+def _exact(row: list, **where) -> list:
+    """The row with exact rationals as p/q strings.  Called on every row
+    before any output starts, so stdout stays empty when a rational is
+    too long to print (CPython's int-to-str digit limit) or a float is
+    not finite (JSON has no such number); ``where`` holds the row's key
+    columns, which the error names."""
+    for value in row:
+        if isinstance(value, float) and not math.isfinite(value):
+            at = ", ".join(f"{name} = {key}" for name, key in where.items())
+            raise ValueError(f"value {value} at {at} is not finite")
     return [str(value) if isinstance(value, Fraction) else value for value in row]
 
 
@@ -67,7 +74,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
 
 
 def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
@@ -173,7 +180,8 @@ def cmd_coeffs(args) -> int:
         trow = reconstruct_row(coeffs, n)
         rows.append(_exact(
             [n, coeffs.x[n], coeffs.y[n], coeffs.t[n], coeffs.r[n], coeffs.s[n],
-             trow.a, trow.b, trow.c, trow.d]
+             trow.a, trow.b, trow.c, trow.d],
+            n=n,
         ))
     return _emit_table(args, params, "coeffs", header, rows)
 
@@ -182,8 +190,8 @@ def cmd_verify(args) -> int:
     params = _resolve_parameters(args)
     _require(args.T >= 1, "--T must be >= 1")
     _require(
-        args.tolerance is None or args.tolerance >= 0,
-        f"--tolerance must be a number >= 0 (got {args.tolerance})",
+        args.tolerance is None or 0 <= args.tolerance < math.inf,
+        f"--tolerance must be a finite number >= 0 (got {args.tolerance})",
     )
     report = banded.verify_lu(params, args.T, tolerance=args.tolerance)
     payload = {
@@ -271,7 +279,7 @@ def cmd_poly(args) -> int:
             point = float(point)
         evaluation = analysis.evaluate_polynomials(coeffs, point, args.n_max)
         for n, value in enumerate(evaluation.values):
-            rows.append(_exact([point, n, value]))
+            rows.append(_exact([point, n, value], x=text, n=n))
     return _emit_table(args, params, "poly", header, rows)
 
 

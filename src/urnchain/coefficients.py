@@ -14,10 +14,11 @@ m = 2n + 1:
 
 Two evaluation routes are provided.  :func:`lu_coefficients` implements
 the general three-parameter formulas and is exact when handed
-``Fraction`` parameters; :func:`lu_coefficients_integer` implements the
-integer-parameter closed forms (``alpha = 1/M``, ``beta = 1/N``,
-integer ``gamma``) and always returns exact rationals.  The two routes
-agree exactly on their common domain, which the test suite pins.
+``Fraction`` parameters; :func:`lu_coefficients_integer` covers the
+integer parameters (``alpha = 1/M``, ``beta = 1/N``, integer
+``gamma``) by reading the urn compositions of :func:`urn_slots`: its
+coefficients are the exact branch weights of the urn draws.  The two
+routes agree exactly on their common domain, which the test suite pins.
 """
 
 from __future__ import annotations
@@ -164,20 +165,23 @@ def _death_triple(p: Parameters, m: int) -> tuple[Scalar, Scalar, Scalar]:
 
     The terms carrying a factor n are short-circuited at n = 0: their
     denominators can vanish there for admissible parameters (e.g.
-    alpha + gamma = 0), while the value is 0 by the n factor.
+    alpha + gamma = 0), while the value is 0 by the n factor.  Those
+    boundary values take the parameters' type, so float parameters give
+    floats and Fraction parameters exact rationals.
     """
     n, odd = divmod(m, 2)
     a, b, g = p.alpha, p.beta, p.gamma
+    zero = type(a + b + g)(0)
     if odd:
         d1 = 3 * n + b + g + 1
         d2 = 3 * n + b + g + 2
         d3 = 3 * n + a + g + 3
-        t = n * (n + b - a) / (d1 * d2) if n else 0
+        t = n * (n + b - a) / (d1 * d2) if n else zero
         s = (2 * n + a + g + 2) * (2 * n + b + g + 2) / (d3 * d2)
-        r = (n * (2 * n + a + g + 1) / (d1 * d2) if n else 0) + (n + 1) * (2 * n + b + g + 2) / (d3 * d2)
+        r = (n * (2 * n + a + g + 1) / (d1 * d2) if n else zero) + (n + 1) * (2 * n + b + g + 2) / (d3 * d2)
         return t, r, s
     if n == 0:
-        return 0, 0, 1
+        return zero, zero, zero + 1
     d0 = 3 * n + a + g
     d1 = 3 * n + a + g + 1
     d2 = 3 * n + b + g + 1
@@ -187,54 +191,59 @@ def _death_triple(p: Parameters, m: int) -> tuple[Scalar, Scalar, Scalar]:
     return t, r, s
 
 
-def _birth_pair_integer(ip: IntegerParameters, m: int) -> tuple[Fraction, Fraction]:
+_NO_URN = (0, 1)
+
+
+def urn_slots(ip: IntegerParameters, m: int) -> tuple[tuple[int, int], ...]:
+    """The urns prepared at state m, as (blue, total) ball counts in four
+    slots: experiment 2's urn A, then experiment 1's urns A, R and B.
+    This is the only code that turns (M, N, g, m) into ball counts; the
+    integer coefficients, the scalar urns and the vectorized sampler's
+    table all read it.
+
+    Experiment 2 (pure birth) draws once from its urn A: blue raises the
+    state by one, red keeps it.  Experiment 1 (pure death) draws from its
+    urn A, then from B after a blue or from R after a red; each blue
+    lowers the state by one.  As (blue, total) with m = 2n or m = 2n + 1:
+
+        slot            m = 2n                      m = 2n + 1
+        0  exp. 2, A    (M(2n+g+1), 3Mn+Mg+2M+1)    (N(2n+g+2), 3Nn+Ng+3N+1)
+        1  exp. 1, A    (Mn,        3Mn+Mg+M+1)     (Nn,        3Nn+Ng+2N+1)
+        2  exp. 1, R    (Nn,        3Nn+Ng+N+1)     (M(n+1),    3Mn+Mg+3M+1)
+        3  exp. 1, B    (MNn+N-M,   N(3Mn+Mg+1))    (MNn+M-N,   M(3Nn+Ng+N+1))
+
+    Experiment 1 differs at the two lowest states.  State 1 draws once,
+    from A = (M, Mg+3M+1): blue empties the urn (state 0), red keeps
+    state 1; it is not the n = 0 column of the odd table, where B could
+    hold MN*0 + M - N < 0 blue balls.  State 0 is absorbing for
+    experiment 1 and draws nothing (the composite chain still runs
+    experiment 2 there).  A slot with no urn holds (0, 1), a draw that is
+    always red: every experiment-1 slot at state 0, and R and B at 1.
+    """
+    if m < 0:
+        raise ValueError(f"state must be >= 0 (got {m})")
     n, odd = divmod(m, 2)
     M, N, g = ip.M, ip.N, ip.gamma
     if odd:
-        total = 3 * N * n + N * g + 3 * N + 1
-        return Fraction(N * (2 * n + g + 2), total), Fraction(N * (n + 1) + 1, total)
-    total = 3 * M * n + M * g + 2 * M + 1
-    return Fraction(M * (2 * n + g + 1), total), Fraction(M * (n + 1) + 1, total)
-
-
-def _death_triple_integer(ip: IntegerParameters, m: int) -> tuple[Fraction, Fraction, Fraction]:
-    # all denominators are positive integers for M, N >= 1, gamma >= 0,
-    # so no n = 0 special case is needed on this route
-    n, odd = divmod(m, 2)
-    M, N, g = ip.M, ip.N, ip.gamma
+        birth = (N * (2 * n + g + 2), 3 * N * n + N * g + 3 * N + 1)
+    else:
+        birth = (M * (2 * n + g + 1), 3 * M * n + M * g + 2 * M + 1)
+    if m < 2:
+        death_a = (M, M * g + 3 * M + 1) if m else _NO_URN
+        return birth, death_a, _NO_URN, _NO_URN
     if odd:
-        t = Fraction(
-            N * n * (M * N * n + M - N),
-            M * (3 * N * n + N * g + N + 1) * (3 * N * n + N * g + 2 * N + 1),
+        return (
+            birth,
+            (N * n, 3 * N * n + N * g + 2 * N + 1),
+            (M * (n + 1), 3 * M * n + M * g + 3 * M + 1),
+            (M * N * n + M - N, M * (3 * N * n + N * g + N + 1)),
         )
-        s = Fraction(
-            (2 * M * n + M * g + 2 * M + 1) * (2 * N * n + N * g + 2 * N + 1),
-            (3 * M * n + M * g + 3 * M + 1) * (3 * N * n + N * g + 2 * N + 1),
-        )
-        r = Fraction(
-            N * N * n * (2 * M * n + M * g + M + 1),
-            M * (3 * N * n + N * g + N + 1) * (3 * N * n + N * g + 2 * N + 1),
-        ) + Fraction(
-            M * (n + 1) * (2 * N * n + N * g + 2 * N + 1),
-            (3 * M * n + M * g + 3 * M + 1) * (3 * N * n + N * g + 2 * N + 1),
-        )
-        return t, r, s
-    t = Fraction(
-        M * n * (M * N * n + N - M),
-        N * (3 * M * n + M * g + 1) * (3 * M * n + M * g + M + 1),
+    return (
+        birth,
+        (M * n, 3 * M * n + M * g + M + 1),
+        (N * n, 3 * N * n + N * g + N + 1),
+        (M * N * n + N - M, N * (3 * M * n + M * g + 1)),
     )
-    s = Fraction(
-        (2 * M * n + M * g + M + 1) * (2 * N * n + N * g + N + 1),
-        (3 * M * n + M * g + M + 1) * (3 * N * n + N * g + N + 1),
-    )
-    r = Fraction(
-        M * M * n * (2 * N * n + N * g + 1),
-        N * (3 * M * n + M * g + 1) * (3 * M * n + M * g + M + 1),
-    ) + Fraction(
-        N * n * (2 * M * n + M * g + M + 1),
-        (3 * M * n + M * g + M + 1) * (3 * N * n + N * g + N + 1),
-    )
-    return t, r, s
 
 
 def lu_coefficients(p: Parameters, n_max: int) -> LUCoefficients:
@@ -259,20 +268,22 @@ def lu_coefficients(p: Parameters, n_max: int) -> LUCoefficients:
 
 
 def lu_coefficients_integer(ip: IntegerParameters, n_max: int) -> LUCoefficients:
-    """Factor coefficients for indices 0..n_max via the integer-parameter
-    closed forms; always exact rationals."""
+    """Factor coefficients for indices 0..n_max as the branch weights of
+    the urn draws of :func:`urn_slots`; always exact rationals.  The
+    (0, 1) slots make states 0 and 1 follow the same products."""
     require_valid(ip)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (got {n_max})")
     xs, ys, ts, rs, ss = [], [], [], [], []
     for m in range(n_max + 1):
-        x, y = _birth_pair_integer(ip, m)
-        t, r, s = _death_triple_integer(ip, m)
-        xs.append(x)
-        ys.append(y)
-        ts.append(t)
-        rs.append(r)
-        ss.append(s)
+        (b2, T2), (bA, TA), (bR, TR), (bB, TB) = urn_slots(ip, m)
+        xs.append(Fraction(b2, T2))
+        ys.append(Fraction(T2 - b2, T2))
+        # t: blue, blue; r: blue then red from B, or red then blue from R;
+        # s: red, red
+        ts.append(Fraction(bA * bB, TA * TB))
+        rs.append(Fraction(bA * (TB - bB) * TR + (TA - bA) * bR * TB, TA * TB * TR))
+        ss.append(Fraction((TA - bA) * (TR - bR), TA * TR))
     return LUCoefficients(tuple(xs), tuple(ys), tuple(ts), tuple(rs), tuple(ss))
 
 

@@ -5,37 +5,17 @@ urns and can lower the state by at most two; one step of the pure-birth
 factor (experiment 2) draws from a single urn and can raise it by at
 most one.  The composite chain runs experiment 1 then experiment 2.
 
-Urn compositions as (blue, red) counts, for state m with parity split
-m = 2n / m = 2n + 1 and integer parameters M, N, g:
-
-experiment 2, urn A only; blue raises the state, red keeps it:
-
-    m = 2n:      A = (M(2n + g + 1),  M(n + 1) + 1)
-    m = 2n + 1:  A = (N(2n + g + 2),  N(n + 1) + 1)
-
-experiment 1 for m >= 2; a blue from A sends the second draw to urn B,
-a red from A sends it to urn R; blue/blue lowers the state by two,
-mixed colors by one, red/red keeps it:
-
-    m = 2n:      A = (Mn,            2Mn + Mg + M + 1)
-                 B = (MNn + N - M,   M(2Nn + Ng + 1))
-                 R = (Nn,            2Nn + Ng + N + 1)
-    m = 2n + 1:  A = (Nn,            2Nn + Ng + 2N + 1)
-                 B = (MNn + M - N,   N(2Mn + Mg + M + 1))
-                 R = (M(n + 1),      2Mn + Mg + 2M + 1)
-
-experiment 1 for m = 1 uses the single urn A = (M, Mg + 2M + 1); blue
-empties the urn (state 0), red keeps state 1.  State 0 is absorbing for
-experiment 1 only; the composite chain still runs experiment 2 there.
-The m = 1 case is not the n = 0 instance of the odd three-urn table
-(urn B would get MN*0 + M - N blue balls, possibly negative).
+The ball counts of every urn at every state come from
+:func:`urnchain.coefficients.urn_slots`, whose docstring holds the
+composition table.  State 0 is absorbing for experiment 1 only; the
+composite chain still runs experiment 2 there.
 
 Every draw is an integer draw against the exact ball counts, never a
 floating-point probability; the exact enumeration oracle walks the same
 urn compositions with Fraction branch weights.  :func:`experiment2_urn`
-and :func:`experiment1_urns` are the only code that turns (M, N, g, m)
-into ball counts: the vectorized sampler reads them through one int64
-table of the states its lanes draw from (about 64 bytes per state).
+and :func:`experiment1_urns` name the slots of ``urn_slots`` as urns,
+and the vectorized sampler copies the same slots into one int64 table
+of the states its lanes draw from (about 64 bytes per state).
 That sampler is the only one the CLI runs: ``simulate --aggregate`` and
 ``compare`` keep each lane's last state, trajectory mode every
 sub-state, so a trajectory depends on (seed, trials) as the counts do.
@@ -57,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import IntegerParameters, ParameterError
+from .coefficients import IntegerParameters, ParameterError, urn_slots
 
 BLUE = "blue"
 RED = "red"
@@ -70,6 +50,11 @@ EXPERIMENTS = (1, 2, COMPOSITE)
 CHUNK_TRIALS = 1 << 14
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# urn names of the four slots of urn_slots: experiment 2's, then
+# experiment 1's first urn and the urns of its second draw after a red
+# and after a blue
+_SLOT_NAMES = ("A", "A", "R", "B")
 
 
 @dataclass(frozen=True)
@@ -135,48 +120,33 @@ class Trajectory:
         return self.states[-1][1] if self.states else self.initial_state
 
 
+def _urn(name: str, slot: tuple[int, int]) -> Urn:
+    blue, total = slot
+    return Urn(name, blue, total - blue)
+
+
 def experiment2_urn(ip: IntegerParameters, m: int) -> Urn:
     """Urn A prepared for one pure-birth step from state m."""
-    if m < 0:
-        raise ValueError(f"state must be >= 0 (got {m})")
-    n, odd = divmod(m, 2)
-    M, N, g = ip.M, ip.N, ip.gamma
-    if odd:
-        return Urn("A", N * (2 * n + g + 2), N * (n + 1) + 1)
-    return Urn("A", M * (2 * n + g + 1), M * (n + 1) + 1)
+    return _urn("A", urn_slots(ip, m)[0])
 
 
 def experiment1_urns(ip: IntegerParameters, m: int) -> tuple[Urn, ...]:
     """Urns prepared for one pure-death step from state m: empty tuple
     at the absorbing state 0, a single urn at state 1, (A, B, R) above."""
-    if m < 0:
-        raise ValueError(f"state must be >= 0 (got {m})")
-    M, N, g = ip.M, ip.N, ip.gamma
+    _, a, r, b = urn_slots(ip, m)
     if m == 0:
         return ()
     if m == 1:
-        return (Urn("A", M, M * g + 2 * M + 1),)
-    n, odd = divmod(m, 2)
-    if odd:
-        return (
-            Urn("A", N * n, 2 * N * n + N * g + 2 * N + 1),
-            Urn("B", M * N * n + M - N, N * (2 * M * n + M * g + M + 1)),
-            Urn("R", M * (n + 1), 2 * M * n + M * g + 2 * M + 1),
-        )
-    return (
-        Urn("A", M * n, 2 * M * n + M * g + M + 1),
-        Urn("B", M * N * n + N - M, M * (2 * N * n + N * g + 1)),
-        Urn("R", N * n, 2 * N * n + N * g + N + 1),
-    )
+        return (_urn("A", a),)
+    return (_urn("A", a), _urn("B", b), _urn("R", r))
 
 
-def _int64_total(urn: Urn, m: int) -> int:
-    """Ball total of ``urn`` prepared at state m, which every draw passes
-    to ``gen.integers`` as an int64 bound."""
-    total = urn.total
+def _int64_total(name: str, total: int, m: int) -> int:
+    """``total``, the ball count of urn ``name`` prepared at state m,
+    which every draw passes to ``gen.integers`` as an int64 bound."""
     if total > _INT64_MAX:
         raise ParameterError(
-            f"urn {urn.name} at state {m} holds {total} balls, "
+            f"urn {name} at state {m} holds {total} balls, "
             f"above the int64 limit 2**63 - 1 = {_INT64_MAX}"
         )
     return total
@@ -184,7 +154,7 @@ def _int64_total(urn: Urn, m: int) -> int:
 
 def _draw(urn: Urn, m: int, gen: np.random.Generator) -> str:
     # integer draw against the exact counts
-    return BLUE if int(gen.integers(_int64_total(urn, m))) < urn.blue else RED
+    return BLUE if int(gen.integers(_int64_total(urn.name, urn.total, m))) < urn.blue else RED
 
 
 def experiment2_step(ip: IntegerParameters, m: int, gen: np.random.Generator) -> StepOutcome:
@@ -289,16 +259,14 @@ def _urn_table(
     ip: IntegerParameters, initial_state: int, steps: int, experiment
 ) -> tuple[int, np.ndarray]:
     """(lo, columns): int64 rows (blue, total) whose column 4(m - lo) + k
-    holds slot k of state m, for every state m in lo..hi a lane of a run
-    of ``steps`` >= 1 steps draws from, read from :func:`experiment2_urn`
-    / :func:`experiment1_urns`.  The int64 bound is checked on exactly
-    the urns a lane can draw from.
+    holds slot k of :func:`urn_slots` at state m, for every state m in
+    lo..hi a lane of a run of ``steps`` >= 1 steps draws from.  The int64
+    bound is checked on exactly the urns a lane can draw from.
 
-    Slot 0 holds experiment 2's urn A, slot 1 experiment 1's urn A, and
-    slots 2 and 3 its urns R and B, so a lane's second draw reads slot
-    2 + first_blue.  Slots no lane draws from (the other experiment's,
-    state 0's, state 1's second, and states one experiment reaches only
-    for the other) hold the dummy (0, 1), always red.
+    A lane's second experiment-1 draw reads slot 2 + first_blue.  Slots
+    no lane draws from (the other experiment's, and states one experiment
+    reaches only for the other) hold the dummy (0, 1), always red, which
+    ``urn_slots`` itself returns where a state has no urn.
     """
     # before step k (1-based) a lane is at most 2(k - 1) below its start,
     # and k - 1 above it in the composite chain, where experiment 2 draws
@@ -311,19 +279,17 @@ def _urn_table(
     if experiment == 2:
         death, birth = range(0), range(initial_state, initial_state + steps)
     lo, hi = (birth or death).start, initial_state + up
-    columns = np.zeros((2, 4 * (hi - lo)), dtype=np.int64)
-    columns[1] = 1
+    blue, total = [0] * (4 * (hi - lo)), [1] * (4 * (hi - lo))
     for m in range(lo, hi):
-        placed = []
-        if m in birth:
-            placed.append((0, experiment2_urn(ip, m)))
-        if m in death:
-            placed.extend(zip((1, 3, 2), experiment1_urns(ip, m)))  # urns (A, B, R)
-        for k, urn in placed:
+        slots = urn_slots(ip, m)
+        drawn = ((0,) if m in birth else ()) + ((1, 2, 3) if m in death else ())
+        for k in drawn:
             column = 4 * (m - lo) + k
-            columns[1, column] = _int64_total(urn, m)
-            columns[0, column] = urn.blue
-    return lo, columns
+            blue[column], total[column] = slots[k]
+    if max(total) > _INT64_MAX:  # name the first urn over the limit
+        column = next(k for k, balls in enumerate(total) if balls > _INT64_MAX)
+        _int64_total(_SLOT_NAMES[column % 4], total[column], lo + column // 4)
+    return lo, np.array([blue, total], dtype=np.int64)
 
 
 def _advance(

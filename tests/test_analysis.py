@@ -2,14 +2,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import sample_from_row, sample_row_endpoints
 
 from urnchain.analysis import (
     EmpiricalDistribution,
     chi_square_statistic,
     chi_square_threshold,
     evaluate_polynomials,
-    sample_from_row,
-    sample_row_endpoints,
     tv_distance,
 )
 from urnchain.coefficients import (

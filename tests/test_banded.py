@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import identity, to_dense
 
 from urnchain.banded import (
     BandedMatrix,
     birth_factor,
     death_factor,
-    identity,
     multiply,
     reconstructed_matrix,
     verify_factorization,
@@ -67,8 +67,8 @@ class TestBandedMatrix:
 class TestMultiply:
     def test_identity_is_neutral(self):
         m = random_banded(np.random.default_rng(4), 6, 2, 1)
-        assert multiply(identity(6), m).to_dense() == m.to_dense()
-        assert multiply(m, identity(6)).to_dense() == m.to_dense()
+        assert to_dense(multiply(identity(6), m)) == to_dense(m)
+        assert to_dense(multiply(m, identity(6))) == to_dense(m)
 
     def test_bandwidths_add(self):
         a = random_banded(np.random.default_rng(5), 6, 1, 0)
@@ -84,7 +84,7 @@ class TestMultiply:
             [sum(a.entry(i, k) * b.entry(k, j) for k in range(7)) for j in range(7)]
             for i in range(7)
         ]
-        assert multiply(a, b).to_dense() == dense
+        assert to_dense(multiply(a, b)) == dense
 
     def test_associative_on_random_triples(self):
         gen = np.random.default_rng(8)
@@ -94,13 +94,13 @@ class TestMultiply:
             c = random_banded(gen, 6, 0, 1)
             left = multiply(multiply(a, b), c)
             right = multiply(a, multiply(b, c))
-            assert left.to_dense() == right.to_dense()
+            assert to_dense(left) == to_dense(right)
 
 
 class TestFactors:
     def test_death_factor_smallest_truncation(self):
         c = lu_coefficients_integer(IP, 0)
-        assert death_factor(c, 1).to_dense() == [[1]]
+        assert to_dense(death_factor(c, 1)) == [[1]]
 
     def test_death_factor_row_two(self):
         c = lu_coefficients_integer(IP, 2)

@@ -88,6 +88,15 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def parse_strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCoeffs:
     def test_worked_example_row(self, capsys):
         code, out, _ = run_cli(
@@ -135,6 +144,17 @@ class TestCoeffs:
             assert F(row["x"]) == c.x[n]
             assert F(row["t"]) == c.t[n]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_value_exits_one_and_names_the_row(self, capsys, fmt):
+        # finite, valid parameters whose float denominators overflow to inf,
+        # so s_1 = inf / inf is NaN
+        code, out, err = run_cli(
+            capsys, "coeffs", "--alpha", "1e308", "--beta", "1e308", "--gamma", "0",
+            "--n-max", "3", "--format", fmt,
+        )
+        assert code == 1 and out == ""
+        assert "at n = 1 is not finite" in err
+
     def test_csv_round_trips_float_values_exactly(self, capsys):
         code, out, _ = run_cli(
             capsys, "coeffs", "--alpha", "0.9", "--beta", "0.1", "--gamma", "0.5",
@@ -174,6 +194,16 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["passed"] is False
 
+    def test_non_finite_deviation_is_json_null(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--alpha", "1e308", "--beta", "1e308", "--gamma", "0", "--T", "5"
+        )
+        assert code == 3
+        payload = parse_strict_json(out)
+        assert payload["passed"] is False
+        failed = [check for check in payload["checks"] if check["max_deviation"] is None]
+        assert failed and not any(check["passed"] for check in failed)
+
     def test_infinite_parameter_exits_two(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--alpha", ".5", "--beta", ".3", "--gamma", "inf", "--T", "20"
@@ -181,7 +211,7 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "gamma must be finite" in err
 
-    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
     def test_nan_or_negative_tolerance_exits_two(self, capsys, tolerance):
         code, out, err = run_cli(
             capsys, "verify", "--alpha", ".5", "--beta", ".3", "--gamma", "1",
@@ -382,6 +412,17 @@ class TestPoly:
         )
         assert code == 0
         assert parse_csv(out)[1]["q"] == "-3/4"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_value_exits_one_and_names_the_row(self, capsys, fmt):
+        # q_n(-1/2) overflows the float route: the first non-finite value
+        # is at n = 666, where standard JSON has no number for it
+        code, out, err = run_cli(
+            capsys, "poly", "--alpha", ".5", "--beta", ".3", "--gamma", "1",
+            "--x=-1/2", "--n-max", "1200", "--format", fmt,
+        )
+        assert code == 1 and out == ""
+        assert "value inf at x = -1/2, n = 666 is not finite" in err
 
     def test_bad_point_rejected(self, capsys):
         code, _, err = run_cli(

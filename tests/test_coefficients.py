@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from urnchain.coefficients import (
     IntegerParameters,
@@ -90,6 +92,10 @@ class TestGeneralFormulas:
         for _ in range(10):
             c = lu_coefficients(random_valid_parameters(gen), 3)
             assert c.s[0] == 1 and c.t[0] == 0 and c.r[0] == 0 and c.t[1] == 0
+            # floats, not the ints 0 and 1, so JSON prints 0.0 like every other cell
+            assert all(type(v) is float for v in (c.s[0], c.t[0], c.r[0], c.t[1]))
+        exact = lu_coefficients(Parameters(F(1, 2), F(1, 3), F(1)), 3)
+        assert all(type(v) is Fraction for v in (exact.s[0], exact.t[0], exact.r[0], exact.t[1]))
 
     def test_down_two_weight_worked_value(self):
         # hand evaluation at index 2: (1 + 1/6) / ((9/2) * (11/2)) = 14/297
@@ -138,12 +144,22 @@ class TestIntegerFormulas:
             for seq in (c.x, c.y, c.t, c.r, c.s):
                 assert 0 <= seq[n] <= 1
 
-    @pytest.mark.parametrize("M,N,gamma", [(1, 1, 0), (2, 3, 1), (5, 1, 2), (3, 5, 0)])
+    # the integer route reads the urn compositions, as the draw-tree
+    # enumerator does; this ties both to the paper's general formulas
+    @settings(deadline=None)
+    @given(M=st.integers(1, 2**31), N=st.integers(1, 2**31), gamma=st.integers(0, 10))
+    @example(M=1, N=1, gamma=0)
+    @example(M=2, N=3, gamma=1)
+    @example(M=5, N=1, gamma=2)
+    @example(M=3, N=5, gamma=0)
     def test_matches_general_formulas_exactly(self, M, N, gamma):
         ip = IntegerParameters(M, N, gamma)
-        direct = lu_coefficients_integer(ip, 60)
-        general = lu_coefficients(ip.as_parameters(), 60)
+        direct = lu_coefficients_integer(ip, 40)
+        general = lu_coefficients(ip.as_parameters(), 40)
         assert direct == general
+        # an int 0 would print as the JSON number 0, not the string "0"
+        for seq in (direct.x, direct.y, direct.t, direct.r, direct.s):
+            assert all(type(v) is Fraction for v in seq)
 
 
 class TestReconstructRow:
