@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urnchain.coefficients import (
@@ -146,20 +146,24 @@ class TestIntegerFormulas:
 
     # the integer route reads the urn compositions, as the draw-tree
     # enumerator does; this ties both to the paper's general formulas
-    @settings(deadline=None)
-    @given(M=st.integers(1, 2**31), N=st.integers(1, 2**31), gamma=st.integers(0, 10))
-    @example(M=1, N=1, gamma=0)
-    @example(M=2, N=3, gamma=1)
-    @example(M=5, N=1, gamma=2)
-    @example(M=3, N=5, gamma=0)
-    def test_matches_general_formulas_exactly(self, M, N, gamma):
+    @staticmethod
+    def _check_matches_general(M, N, gamma, n):
         ip = IntegerParameters(M, N, gamma)
-        direct = lu_coefficients_integer(ip, 40)
-        general = lu_coefficients(ip.as_parameters(), 40)
+        direct = lu_coefficients_integer(ip, n)
+        general = lu_coefficients(ip.as_parameters(), n)
         assert direct == general
         # an int 0 would print as the JSON number 0, not the string "0"
         for seq in (direct.x, direct.y, direct.t, direct.r, direct.s):
             assert all(type(v) is Fraction for v in seq)
+
+    @pytest.mark.parametrize("M,N,gamma", [(1, 1, 0), (2, 3, 1), (5, 1, 2), (3, 5, 0)])
+    def test_matches_general_formulas_exactly(self, M, N, gamma):
+        self._check_matches_general(M, N, gamma, 60)
+
+    @settings(deadline=None)
+    @given(M=st.integers(1, 2**31), N=st.integers(1, 2**31), gamma=st.integers(0, 10))
+    def test_matches_general_formulas_over_parameter_space(self, M, N, gamma):
+        self._check_matches_general(M, N, gamma, 40)
 
 
 class TestReconstructRow:
