@@ -3,10 +3,9 @@ driven by the composite chain's four-band recursion."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
-
-from scipy.stats import chi2
 
 from .coefficients import LUCoefficients, Scalar, TransitionRow, reconstruct_row
 
@@ -73,10 +72,63 @@ def chi_square_statistic(
     return statistic, len(expected) - 1
 
 
+# the bracket's upper end stops here: near x = 1500 the finite sums of
+# _chi_square_tail start to underflow exp(-x/2) and overflow the terms
+_TAIL_X_MAX = 1024.0
+
+
+def _chi_square_tail(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of the chi-square law with integer dof >= 1:
+    the finite Poisson sum of Abramowitz & Stegun 26.4.4 for even dof,
+    erfc plus the finite sum of 26.4.5 for odd dof."""
+    if x <= 0:
+        return 1.0
+    half = x / 2
+    if dof % 2 == 0:
+        term = total = 1.0
+        for k in range(1, dof // 2):
+            term *= half / k
+            total += term
+        return math.exp(-half) * total
+    root = math.sqrt(x)
+    tail = math.erfc(root / math.sqrt(2))
+    term = root * math.sqrt(2 / math.pi) * math.exp(-half)
+    for k in range(1, (dof + 1) // 2):
+        tail += term
+        term *= x / (2 * k + 1)
+    return tail
+
+
 def chi_square_threshold(dof: int, level: float = 0.999) -> float:
     """Upper quantile of the chi-square distribution used as the
-    fixed-seed acceptance cut."""
-    return float(chi2.ppf(level, dof))
+    fixed-seed acceptance cut: the smallest double q whose tail
+    (Abramowitz & Stegun 26.4.4 / 26.4.5) is <= 1 - level.
+
+    Found by bisection over doubles: the bracket [0, 1] doubles its upper
+    end until the tail there is <= 1 - level, then halves until its
+    midpoint equals an end.  For dof 1, 2 and 3 at the default level this
+    returns the same doubles as ``scipy.stats.chi2.ppf``.  Raises
+    ValueError for a dof that is not an integer >= 1, a level outside
+    (0, 1) (NaN included), and a quantile above 1024.
+    """
+    if isinstance(dof, bool) or not isinstance(dof, int) or dof < 1:
+        raise ValueError(f"dof must be an integer >= 1 (got {dof!r})")
+    if not 0 < level < 1:
+        raise ValueError(f"level must lie in (0, 1) (got {level!r})")
+    alpha = 1 - level
+    low, high = 0.0, 1.0
+    while _chi_square_tail(high, dof) > alpha:
+        if high >= _TAIL_X_MAX:
+            raise ValueError(f"chi-square quantile above {_TAIL_X_MAX} (dof {dof}, level {level})")
+        low, high = high, 2 * high
+    while True:
+        mid = (low + high) / 2
+        if mid in (low, high):
+            return high
+        if _chi_square_tail(mid, dof) <= alpha:
+            high = mid
+        else:
+            low = mid
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,11 @@ def _cell(value):
 
 
 def _exact(row: list, **where) -> list:
-    """The row with exact rationals as p/q strings.  Called on every row
-    before any output starts, so stdout stays empty when a rational is
-    too long to print (CPython's int-to-str digit limit) or a float is
-    not finite (JSON has no such number); ``where`` holds the row's key
-    columns, which the error names."""
+    """The row with exact rationals as p/q strings, of any length
+    (:func:`main` lifts CPython's int-to-str digit limit).  Called on
+    every row before any output starts, so stdout stays empty when a
+    float is not finite (JSON has no such number); ``where`` holds the
+    row's key columns, which the error names."""
     for value in row:
         if isinstance(value, float) and not math.isfinite(value):
             at = ", ".join(f"{name} = {key}" for name, key in where.items())
@@ -395,9 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # exact p/q output can run past CPython's int-to-str digit limit;
+    # lift it for this command only, as main also runs in process (the
+    # tests, the bench); interpreters without the limit lack the function
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
@@ -405,6 +410,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure contract
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

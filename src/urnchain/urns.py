@@ -152,35 +152,36 @@ def _int64_total(name: str, total: int, m: int) -> int:
     return total
 
 
-def _draw(urn: Urn, m: int, gen: np.random.Generator) -> str:
-    # integer draw against the exact counts
-    return BLUE if int(gen.integers(_int64_total(urn.name, urn.total, m))) < urn.blue else RED
+def _draw(
+    slots: tuple[tuple[int, int], ...], k: int, m: int, gen: np.random.Generator
+) -> tuple[str, str]:
+    """One integer draw against the exact counts of slot k of
+    :func:`urn_slots` at state m, as (urn name, color)."""
+    blue, total = slots[k]
+    name = _SLOT_NAMES[k]
+    return name, BLUE if int(gen.integers(_int64_total(name, total, m))) < blue else RED
 
 
 def experiment2_step(ip: IntegerParameters, m: int, gen: np.random.Generator) -> StepOutcome:
     """One pure-birth step; the end state is m + 1 on blue, m on red."""
-    urn = experiment2_urn(ip, m)
-    color = _draw(urn, m, gen)
-    end = m + 1 if color == BLUE else m
-    return StepOutcome(2, m, end, ((urn.name, color),))
+    draw = _draw(urn_slots(ip, m), 0, m, gen)
+    return StepOutcome(2, m, m + (draw[1] == BLUE), (draw,))
 
 
 def experiment1_step(ip: IntegerParameters, m: int, gen: np.random.Generator) -> StepOutcome:
     """One pure-death step; the end state drops by the number of blue
-    draws (at most two).  State 0 is absorbing and draws nothing."""
-    urns = experiment1_urns(ip, m)
-    if not urns:
+    draws (at most two).  State 0 is absorbing and draws nothing; state 1
+    draws once, from A."""
+    slots = urn_slots(ip, m)
+    if m == 0:
         return StepOutcome(1, 0, 0, ())
-    if len(urns) == 1:
-        color = _draw(urns[0], m, gen)
-        end = 0 if color == BLUE else 1
-        return StepOutcome(1, 1, end, ((urns[0].name, color),))
-    urn_a, urn_b, urn_r = urns
-    first = _draw(urn_a, m, gen)
-    second_urn = urn_b if first == BLUE else urn_r
-    second = _draw(second_urn, m, gen)
-    down = (first == BLUE) + (second == BLUE)
-    return StepOutcome(1, m, m - down, ((urn_a.name, first), (second_urn.name, second)))
+    first = _draw(slots, 1, m, gen)
+    if m == 1:
+        return StepOutcome(1, 1, 1 - (first[1] == BLUE), (first,))
+    # the second draw comes from B after a blue, from R after a red
+    second = _draw(slots, 3 if first[1] == BLUE else 2, m, gen)
+    down = (first[1] == BLUE) + (second[1] == BLUE)
+    return StepOutcome(1, m, m - down, (first, second))
 
 
 def composite_step(

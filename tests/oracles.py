@@ -1,7 +1,9 @@
 """Test-only references: a sampler that draws end states straight from
 an exact transition row, against which the urn samplers are compared,
-and the identity and dense views of banded matrices."""
+the identity and dense views of banded matrices, and the regularized
+incomplete gamma function the chi-square quantile is checked against."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -41,3 +43,21 @@ def identity(size: int) -> BandedMatrix:
 
 def to_dense(m: BandedMatrix) -> list[list[Scalar]]:
     return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
+
+
+def regularized_lower_gamma(a: float, x: float) -> float:
+    """P(a, x) by the series of Abramowitz & Stegun 6.5.29,
+
+        P(a, x) = x**a e**-x sum_{n >= 0} x**n / Gamma(a + n + 1),
+
+    summed until a term no longer moves the total; the chi-square CDF
+    with k degrees of freedom at q is P(k/2, q/2)."""
+    if x <= 0:
+        return 0.0
+    terms = [1.0]
+    total = n = 1.0
+    while n <= x or terms[-1] > 1e-17 * total:
+        terms.append(terms[-1] * x / (a + n))
+        total += terms[-1]
+        n += 1
+    return math.exp(a * math.log(x) - x - math.lgamma(a + 1)) * math.fsum(terms)

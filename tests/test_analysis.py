@@ -1,8 +1,11 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import sample_from_row, sample_row_endpoints
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import regularized_lower_gamma, sample_from_row, sample_row_endpoints
 
 from urnchain.analysis import (
     EmpiricalDistribution,
@@ -73,7 +76,43 @@ class TestChiSquare:
             chi_square_statistic(empirical, {0: 0.5, 1: 0.5})
 
     def test_quantile_matches_table_value(self):
-        assert chi_square_threshold(1) == pytest.approx(10.828, abs=5e-3)
+        # scipy.stats.chi2.ppf(0.999, dof) for the only dof compare can
+        # produce (a composite row has at most four states), bit for bit
+        assert chi_square_threshold(1) == 10.827566170662733
+        assert chi_square_threshold(2) == 13.815510557964274
+        assert chi_square_threshold(3) == 16.26623619623813
+
+    @pytest.mark.parametrize("dof, quantile", [
+        # scipy.stats.chi2.ppf(0.999, dof)
+        (4, 18.46682695290317),
+        (5, 20.515005652432873),
+        (6, 22.457744484825323),
+        (7, 24.321886347856854),
+        (8, 26.12448155837614),
+        (9, 27.877164871256568),
+        (10, 29.58829844507442),
+    ])
+    def test_quantile_matches_recorded_values(self, dof, quantile):
+        assert chi_square_threshold(dof) == pytest.approx(quantile, rel=1e-15, abs=0)
+
+    @given(st.integers(1, 60), st.floats(1e-6, 1 - 1e-9))
+    @example(1, 0.999)
+    @example(60, 1 - 1e-9)
+    @example(1, 1e-6)
+    def test_quantile_inverts_the_incomplete_gamma(self, dof, level):
+        # an independent oracle: the A&S 6.5.29 series for the CDF, not
+        # the erfc / Poisson sums of the tail under test
+        quantile = chi_square_threshold(dof, level)
+        assert abs(regularized_lower_gamma(dof / 2, quantile / 2) - level) <= 1e-12
+
+    @pytest.mark.parametrize("dof, level", [
+        (0, 0.999), (True, 0.999), (1, 0.0), (1, 1.0), (1, math.nan),
+        # a quantile above 1024, where the tail sums would underflow
+        (900, 0.999),
+    ])
+    def test_quantile_rejects_bad_input(self, dof, level):
+        with pytest.raises(ValueError):
+            chi_square_threshold(dof, level)
 
 
 class TestRowSampling:

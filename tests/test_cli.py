@@ -1,15 +1,23 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from urnchain.cli import main
-from urnchain.coefficients import IntegerParameters, lu_coefficients, Parameters
+from urnchain.coefficients import (
+    IntegerParameters,
+    lu_coefficients,
+    lu_coefficients_integer,
+    Parameters,
+    reconstruct_row,
+)
 from urnchain.urns import CHUNK_TRIALS, COMPOSITE, sample_endpoints
 
 F = Fraction
@@ -88,6 +96,21 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports urnchain from this checkout."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, check=False, env=env
+    )
+
+
+def assert_no_scipy(modules: list[str]) -> None:
+    # importing scipy.stats took about a second of every cold start
+    assert "urnchain" in modules
+    assert [name for name in modules if name.split(".")[0] == "scipy"] == []
+
+
 def parse_strict_json(text: str):
     """json.loads that refuses NaN and Infinity, which are not JSON."""
 
@@ -154,6 +177,30 @@ class TestCoeffs:
         )
         assert code == 1 and out == ""
         assert "at n = 1 is not finite" in err
+
+    def test_exact_values_past_the_int_to_str_digit_limit(self, capsys):
+        # denominators of about 8800 digits, above CPython's default 4300
+        ip = IntegerParameters(10**2200 + 1, 10**2200 + 7, 0)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run_cli(
+            capsys, "coeffs", "--M", str(ip.M), "--N", str(ip.N), "--gamma", "0", "--n-max", "3"
+        )
+        assert code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        rows = parse_csv(out)
+        assert max(len(cell) for row in rows for cell in row.values()) > 8000
+        c = lu_coefficients_integer(ip, 3)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            for n, row in enumerate(rows):
+                trow = reconstruct_row(c, n)
+                expected = [c.x[n], c.y[n], c.t[n], c.r[n], c.s[n]]
+                for key, value in zip("xytrsabcd", expected + [trow.a, trow.b, trow.c, trow.d]):
+                    assert row[key] == ("" if value is None else str(value)), (n, key)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
     def test_csv_round_trips_float_values_exactly(self, capsys):
         code, out, _ = run_cli(
@@ -502,3 +549,17 @@ class TestEntryPoint:
             [sys.executable, "-m", "urnchain"], capture_output=True, text=True, check=False
         )
         assert result.returncode == 2
+
+    def test_import_loads_no_scipy(self):
+        result = run_python("-c", "import sys, urnchain; print(*sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert_no_scipy(result.stdout.split())
+
+    def test_help_loads_no_scipy(self):
+        result = run_python("-X", "importtime", "-m", "urnchain", "--help")
+        assert result.returncode == 0 and result.stdout.startswith("usage: urnchain")
+        # each -X importtime line ends "| <module>"
+        assert_no_scipy([
+            line.rsplit("|", 1)[1].strip()
+            for line in result.stderr.splitlines() if line.startswith("import time:")
+        ])

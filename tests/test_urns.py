@@ -144,7 +144,45 @@ class TestSteps:
                 assert second.end_state >= 0
 
 
+# (state after experiment 1, its draws, state after experiment 2, its
+# draws) per composite step from state 2 under IP, draws written as urn
+# name plus b(lue) / r(ed); recorded while the scalar steps still built
+# an Urn per draw: any change in how they consume draws shows here
+PINNED_STEPS = {
+    5: [
+        (2, "ArRr", 2, "Ar"), (2, "ArRr", 3, "Ab"), (2, "ArRb", 2, "Ar"), (1, "AbBr", 2, "Ab"),
+        (1, "ArRb", 1, "Ar"), (1, "Ar", 1, "Ar"), (1, "Ar", 1, "Ar"), (0, "Ab", 0, "Ar"),
+        (0, "", 1, "Ab"), (1, "Ar", 1, "Ar"),
+    ],
+    6: [
+        (2, "ArRr", 2, "Ar"), (2, "ArRr", 2, "Ar"), (1, "ArRb", 1, "Ar"), (1, "Ar", 2, "Ab"),
+        (2, "ArRr", 3, "Ab"), (2, "ArRb", 3, "Ab"), (3, "ArRr", 4, "Ab"), (3, "ArRb", 3, "Ar"),
+        (3, "ArRr", 3, "Ar"), (2, "AbBr", 2, "Ar"),
+    ],
+    7: [
+        (2, "ArRr", 3, "Ab"), (2, "AbBr", 3, "Ab"), (3, "ArRr", 3, "Ar"), (3, "ArRr", 4, "Ab"),
+        (3, "ArRb", 4, "Ab"), (4, "ArRr", 5, "Ab"), (4, "AbBr", 5, "Ab"), (4, "ArRb", 4, "Ar"),
+        (4, "ArRr", 5, "Ab"), (4, "ArRb", 5, "Ab"),
+    ],
+}
+
+
 class TestTrajectories:
+    @pytest.mark.parametrize("seed", sorted(PINNED_STEPS))
+    def test_draws_and_states_are_pinned(self, seed):
+        def code(outcome):
+            return "".join(name + color[0] for name, color in outcome.draws)
+
+        gen = RngStream(seed).generator()
+        m, steps = 2, []
+        for _ in PINNED_STEPS[seed]:
+            first, second = composite_step(IP, m, gen)
+            steps.append((first.end_state, code(first), second.end_state, code(second)))
+            m = second.end_state
+        assert steps == PINNED_STEPS[seed]
+        trajectory = run_trajectory(IP, 2, len(steps), RngStream(seed))
+        assert trajectory.states == tuple((mid, end) for mid, _, end, _ in steps)
+
     def test_zero_steps(self):
         trajectory = run_trajectory(IP, 4, 0, RngStream(1))
         assert trajectory.states == () and trajectory.final_state() == 4
