@@ -73,7 +73,11 @@ def _emit(text: str, output: str | None) -> None:
         handle.write(text)
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
+def _emit_json(command: str, params, output: str | None, /, **fields) -> None:
+    """Write the one JSON envelope: schema, command and parameters
+    beside the command's own ``fields``, keys sorted."""
+    payload = {"schema": SCHEMA, "command": command, "parameters": _parameters_payload(params)}
+    payload.update(fields)
     _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
 
 
@@ -83,14 +87,8 @@ def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
     Rows hold None, bool, int, float and str only (see :func:`_exact`),
     so nothing can raise once the first byte is written."""
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": command,
-            "parameters": _parameters_payload(params),
-            **meta,
-            key: [dict(zip(header, row)) for row in rows],
-        }
-        _emit_json(payload, args.output)
+        meta[key] = [dict(zip(header, row)) for row in rows]
+        _emit_json(command, params, args.output, **meta)
         return 0
     with _output(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -194,13 +192,7 @@ def cmd_verify(args) -> int:
         f"--tolerance must be a finite number >= 0 (got {args.tolerance})",
     )
     report = banded.verify_lu(params, args.T, tolerance=args.tolerance)
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "parameters": _parameters_payload(params),
-    }
-    payload.update(report.to_dict())
-    _emit_json(payload, args.output)
+    _emit_json("verify", params, args.output, **report.to_dict())
     return 0 if report.passed else 3
 
 

@@ -1,10 +1,12 @@
 """Test-only references: a sampler that draws end states straight from
 an exact transition row, against which the urn samplers are compared,
-the identity and dense views of banded matrices, and the regularized
-incomplete gamma function the chi-square quantile is checked against."""
+a per-entry builder and the identity and dense views of banded
+matrices, and the regularized incomplete gamma function the chi-square
+quantile is checked against."""
 
 import math
 from collections import Counter
+from typing import Callable
 
 import numpy as np
 
@@ -37,8 +39,19 @@ def sample_row_endpoints(row: TransitionRow, trials: int, stream: RngStream) -> 
     return Counter({state: int(count) for state, count in zip(outcomes, counts) if count})
 
 
+def build(
+    size: int, lower: int, upper: int, entry_fn: Callable[[int, int], Scalar]
+) -> BandedMatrix:
+    """A banded matrix from a function giving the in-band entry (i, j),
+    called only for columns inside [0, size)."""
+    return BandedMatrix.from_rows(size, lower, upper, (
+        [entry_fn(i, j) if 0 <= j < size else 0 for j in range(i - lower, i + upper + 1)]
+        for i in range(size)
+    ))
+
+
 def identity(size: int) -> BandedMatrix:
-    return BandedMatrix.build(size, 0, 0, lambda i, j: 1)
+    return build(size, 0, 0, lambda i, j: 1)
 
 
 def to_dense(m: BandedMatrix) -> list[list[Scalar]]:

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import identity, to_dense
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import build, identity, to_dense
 
 from urnchain.banded import (
     BandedMatrix,
@@ -32,7 +34,27 @@ def random_banded(gen: np.random.Generator, size: int, lower: int, upper: int) -
         for i in range(size)
         for j in range(max(0, i - lower), min(size, i + upper + 1))
     }
-    return BandedMatrix.build(size, lower, upper, lambda i, j: entries[(i, j)])
+    return build(size, lower, upper, lambda i, j: entries[(i, j)])
+
+
+@st.composite
+def banded_pairs(draw):
+    """Two matrices of one size (1..8) and one scalar kind, Fraction or
+    float, each with lower and upper bandwidths 0..3, so bands wider than
+    the matrix occur; band values past the edges must be stored as 0."""
+    size = draw(st.integers(1, 8))
+    values = draw(st.sampled_from([
+        st.fractions(-9, 9, max_denominator=9),
+        st.floats(-1e20, 1e20, allow_nan=False, allow_infinity=False),
+    ]))
+
+    def matrix():
+        lower, upper = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        band = st.lists(values, min_size=lower + upper + 1, max_size=lower + upper + 1)
+        rows = draw(st.lists(band, min_size=size, max_size=size))
+        return BandedMatrix.from_rows(size, lower, upper, rows)
+
+    return matrix(), matrix()
 
 
 class TestBandedMatrix:
@@ -43,6 +65,20 @@ class TestBandedMatrix:
         with pytest.raises(IndexError):
             m.entry(5, 0)
 
+    def test_from_rows_zeroes_columns_outside_the_matrix(self):
+        m = BandedMatrix.from_rows(2, 2, 1, [(1, 2, 3, 4), (5, 6, 7, 8), (9, 9, 9, 9)])
+        assert m.rows == ((0, 0, 3, 4), (0, 6, 7, 0))
+        assert m.row_entries(0) == [(0, 3), (1, 4)]
+        assert m.row_entries(1) == [(0, 6), (1, 7)]
+
+    def test_from_rows_rejects_bad_sizes(self):
+        c = lu_coefficients_integer(IP, 3)
+        for build_factor in (death_factor, birth_factor, reconstructed_matrix):
+            with pytest.raises(ValueError, match="size must be >= 1"):
+                build_factor(c, 0)
+        with pytest.raises(ValueError, match="2 band rows for a 3x3 matrix"):
+            BandedMatrix.from_rows(3, 0, 0, [(1,), (1,)])
+
     def test_interior_flag(self):
         m = random_banded(np.random.default_rng(1), 4, 0, 1)
         assert [m.is_interior(i) for i in range(4)] == [True, True, True, False]
@@ -50,12 +86,12 @@ class TestBandedMatrix:
     def test_scalar_kind(self):
         assert identity(3).scalar_kind() == "int"
         assert random_banded(np.random.default_rng(2), 3, 1, 0).scalar_kind() == "exact"
-        f = BandedMatrix.build(3, 0, 0, lambda i, j: 0.5)
+        f = build(3, 0, 0, lambda i, j: 0.5)
         assert f.scalar_kind() == "float"
 
     def test_kind_mismatch_rejected(self):
         exact = random_banded(np.random.default_rng(3), 3, 1, 0)
-        floats = BandedMatrix.build(3, 0, 0, lambda i, j: 0.5)
+        floats = build(3, 0, 0, lambda i, j: 0.5)
         with pytest.raises(ValueError, match="kind"):
             multiply(exact, floats)
 
@@ -76,14 +112,21 @@ class TestMultiply:
         product = multiply(a, b)
         assert (product.lower_bandwidth, product.upper_bandwidth) == (1, 2)
 
-    def test_matches_dense_product(self):
-        gen = np.random.default_rng(7)
-        a = random_banded(gen, 7, 2, 1)
-        b = random_banded(gen, 7, 1, 1)
-        dense = [
-            [sum(a.entry(i, k) * b.entry(k, j) for k in range(7)) for j in range(7)]
-            for i in range(7)
-        ]
+    @given(banded_pairs())
+    def test_matches_dense_product(self, pair):
+        # each entry summed from int 0 in ascending k: float rounding
+        # matches only when the banded product adds its terms in that order
+        a, b = pair
+        left, right = to_dense(a), to_dense(b)
+        dense = []
+        for i in range(a.size):
+            row = []
+            for j in range(a.size):
+                total = 0
+                for k in range(a.size):
+                    total += left[i][k] * right[k][j]
+                row.append(total)
+            dense.append(row)
         assert to_dense(multiply(a, b)) == dense
 
     def test_associative_on_random_triples(self):
@@ -182,6 +225,16 @@ class TestVerify:
             "lu_identity", "product_row_sums",
         }
         assert not report.passed
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_no_rows_compared_below_three_states(self, size):
+        # the last two rows are never compared, so T <= 2 compares none
+        for params in (IP, Parameters(0.9, 0.1, 0.5)):
+            check = {c.name: c for c in verify_lu(params, size).checks}["lu_identity"]
+            assert check.passed and check.deviation == 0
+            assert check.detail == "product vs direct: no rows compared"
+        check = {c.name: c for c in verify_lu(IP, 3).checks}["lu_identity"]
+        assert check.detail == "product vs direct rows 0..0"
 
     def test_nan_tolerance_fails_everything(self):
         report = verify_factorization(lu_coefficients_integer(IP, 19), 20, tolerance=float("nan"))

@@ -86,6 +86,250 @@ trial,step,sub_step,state
 """
 
 
+# verify and graph stdout and exit code per case, recorded before the
+# banded matrices were built from their band rows: any change in the
+# factors, their product, the direct chain or the JSON envelope shows here
+EXACT = ("--M", "2", "--N", "3", "--gamma", "1")
+FLOAT = ("--alpha", "0.9", "--beta", "0.1", "--gamma", "0.5")
+PINNED_VERIFY_GRAPH = {
+    "verify-exact": (("verify", *EXACT, "--T", "5"), 0, """\
+{
+  "checks": [
+    {
+      "detail": "x+y = 1 and t+r+s = 1",
+      "max_deviation": 0.0,
+      "name": "coefficient_row_sums",
+      "passed": true
+    },
+    {
+      "detail": "all coefficients within [0, 1]",
+      "max_deviation": 0.0,
+      "name": "coefficient_bounds",
+      "passed": true
+    },
+    {
+      "detail": "t_0 = t_1 = r_0 = 0 and s_0 = 1",
+      "max_deviation": 0.0,
+      "name": "boundary_values",
+      "passed": true
+    },
+    {
+      "detail": "product bandwidths (lower, upper) = (2, 1)",
+      "max_deviation": 0.0,
+      "name": "band_structure",
+      "passed": true
+    },
+    {
+      "detail": "interior factor rows sum to 1",
+      "max_deviation": 0.0,
+      "name": "factor_row_sums",
+      "passed": true
+    },
+    {
+      "detail": "product vs direct rows 0..2",
+      "max_deviation": 0.0,
+      "name": "lu_identity",
+      "passed": true
+    },
+    {
+      "detail": "interior product rows sum to 1",
+      "max_deviation": 0.0,
+      "name": "product_row_sums",
+      "passed": true
+    }
+  ],
+  "command": "verify",
+  "kind": "exact",
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "passed": true,
+  "schema": "1",
+  "size": 5,
+  "tolerance": 0.0
+}
+"""),
+    "verify-float": (("verify", *FLOAT, "--T", "5"), 0, """\
+{
+  "checks": [
+    {
+      "detail": "x+y = 1 and t+r+s = 1",
+      "max_deviation": 1.1102230246251565e-16,
+      "name": "coefficient_row_sums",
+      "passed": true
+    },
+    {
+      "detail": "all coefficients within [0, 1]",
+      "max_deviation": 0.0,
+      "name": "coefficient_bounds",
+      "passed": true
+    },
+    {
+      "detail": "t_0 = t_1 = r_0 = 0 and s_0 = 1",
+      "max_deviation": 0.0,
+      "name": "boundary_values",
+      "passed": true
+    },
+    {
+      "detail": "product bandwidths (lower, upper) = (2, 1)",
+      "max_deviation": 0.0,
+      "name": "band_structure",
+      "passed": true
+    },
+    {
+      "detail": "interior factor rows sum to 1",
+      "max_deviation": 1.1102230246251565e-16,
+      "name": "factor_row_sums",
+      "passed": true
+    },
+    {
+      "detail": "product vs direct rows 0..2",
+      "max_deviation": 0.0,
+      "name": "lu_identity",
+      "passed": true
+    },
+    {
+      "detail": "interior product rows sum to 1",
+      "max_deviation": 1.1102230246251565e-16,
+      "name": "product_row_sums",
+      "passed": true
+    }
+  ],
+  "command": "verify",
+  "kind": "float",
+  "parameters": {
+    "alpha": 0.9,
+    "beta": 0.1,
+    "form": "general",
+    "gamma": 0.5
+  },
+  "passed": true,
+  "schema": "1",
+  "size": 5,
+  "tolerance": 1e-12
+}
+"""),
+    "verify-float-tolerance-0": (("verify", *FLOAT, "--T", "5", "--tolerance", "0"), 3, """\
+{
+  "checks": [
+    {
+      "detail": "x+y = 1 and t+r+s = 1",
+      "max_deviation": 1.1102230246251565e-16,
+      "name": "coefficient_row_sums",
+      "passed": false
+    },
+    {
+      "detail": "all coefficients within [0, 1]",
+      "max_deviation": 0.0,
+      "name": "coefficient_bounds",
+      "passed": true
+    },
+    {
+      "detail": "t_0 = t_1 = r_0 = 0 and s_0 = 1",
+      "max_deviation": 0.0,
+      "name": "boundary_values",
+      "passed": true
+    },
+    {
+      "detail": "product bandwidths (lower, upper) = (2, 1)",
+      "max_deviation": 0.0,
+      "name": "band_structure",
+      "passed": true
+    },
+    {
+      "detail": "interior factor rows sum to 1",
+      "max_deviation": 1.1102230246251565e-16,
+      "name": "factor_row_sums",
+      "passed": false
+    },
+    {
+      "detail": "product vs direct rows 0..2",
+      "max_deviation": 0.0,
+      "name": "lu_identity",
+      "passed": true
+    },
+    {
+      "detail": "interior product rows sum to 1",
+      "max_deviation": 1.1102230246251565e-16,
+      "name": "product_row_sums",
+      "passed": false
+    }
+  ],
+  "command": "verify",
+  "kind": "float",
+  "parameters": {
+    "alpha": 0.9,
+    "beta": 0.1,
+    "form": "general",
+    "gamma": 0.5
+  },
+  "passed": false,
+  "schema": "1",
+  "size": 5,
+  "tolerance": 0.0
+}
+"""),
+    "graph-P": (("graph", *EXACT, "--which", "P", "--T", "4"), 0, """\
+digraph P {
+  rankdir=LR;
+  0;
+  1;
+  2;
+  3;
+  0 -> 0 [label="3/7"];
+  0 -> 1 [label="4/7"];
+  1 -> 0 [label="2/21"];
+  1 -> 1 [label="100/273"];
+  1 -> 2 [label="7/13"];
+  2 -> 0 [label="2/99"];
+  2 -> 1 [label="595/5148"];
+  2 -> 2 [label="71/156"];
+  2 -> 3 [label="9/22"];
+  3 -> 1 [label="15/1976"];
+  3 -> 2 [label="917/5928"];
+  3 -> 3 [label="5/12"];
+}
+"""),
+    "graph-PL": (("graph", *EXACT, "--which", "PL", "--T", "4"), 0, """\
+digraph PL {
+  rankdir=LR;
+  0;
+  1;
+  2;
+  3;
+  0 -> 0 [label="1"];
+  1 -> 0 [label="2/9"];
+  1 -> 1 [label="7/9"];
+  2 -> 0 [label="14/297"];
+  2 -> 1 [label="1369/4752"];
+  2 -> 2 [label="117/176"];
+  3 -> 1 [label="15/608"];
+  3 -> 2 [label="3263/9120"];
+  3 -> 3 [label="176/285"];
+}
+"""),
+    "graph-PU": (("graph", *EXACT, "--which", "PU", "--T", "4"), 0, """\
+digraph PU {
+  rankdir=LR;
+  0;
+  1;
+  2;
+  3;
+  0 -> 0 [label="3/7"];
+  0 -> 1 [label="4/7"];
+  1 -> 1 [label="4/13"];
+  1 -> 2 [label="9/13"];
+  2 -> 2 [label="5/13"];
+  2 -> 3 [label="8/13"];
+  3 -> 3 [label="7/22"];
+}
+"""),
+}
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -532,6 +776,14 @@ class TestGraph:
         assert code == 0
         data = path.read_bytes()
         assert b"\r" not in data and data.endswith(b"}\n")
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("case", list(PINNED_VERIFY_GRAPH))
+    def test_verify_and_graph_output_is_pinned(self, capsys, case):
+        argv, expected_code, expected_out = PINNED_VERIFY_GRAPH[case]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (expected_code, expected_out, "")
 
 
 class TestEntryPoint:
