@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -68,27 +70,61 @@ def _output(path: str | None):
         yield handle
 
 
-def _emit(text: str, output: str | None) -> None:
-    with _output(output) as handle:
-        handle.write(text)
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit_json(command: str, params, output: str | None, /, **fields) -> None:
+# stands in for a table's rows while the envelope around them is encoded
+_ROWS_MARKER = "\0urnchain rows\0"
+# one table row as its object's lines at depth 2 of an indent=2 dump,
+# braces included; indent=None keeps json's C encoder
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), sort_keys=True, allow_nan=False)
+
+
+def _json_chunks(payload: dict, key=None, header=(), rows=()) -> Iterable[str]:
+    """The text of :func:`_dumps` of ``payload`` with ``rows`` under
+    ``key`` as one object each (``header`` names their fields), in
+    pieces: the envelope is encoded before this returns, each row only
+    when the iterator reaches it, so memory does not grow with the
+    row count.  Rows hold scalars only."""
+    if key is None:
+        return [_dumps(payload)]
+    head, *tail = _dumps({**payload, key: _ROWS_MARKER}).split(json.dumps(_ROWS_MARKER))
+    if len(tail) != 1:
+        raise ValueError(f"{_ROWS_MARKER!r} is a reserved JSON value")
+    return itertools.chain([head], _json_rows(header, rows), tail)
+
+
+def _json_rows(header, rows) -> Iterator[str]:
+    """The list of row objects as the value of a top-level key."""
+    opening = "[\n    {\n      "
+    for row in rows:
+        yield f"{opening}{_ROW_ENCODER.encode(dict(zip(header, row)))[1:-1]}\n    }}"
+        opening = ",\n    {\n      "
+    yield "[]" if opening[0] == "[" else "\n  ]"
+
+
+def _emit_json(command: str, params, output: str | None, table=(), /, **fields) -> None:
     """Write the one JSON envelope: schema, command and parameters
-    beside the command's own ``fields``, keys sorted."""
+    beside the command's own ``fields``, keys sorted.  A ``table``,
+    ``(key, header, rows)``, is written under ``key`` row by row (see
+    :func:`_json_chunks`)."""
     payload = {"schema": SCHEMA, "command": command, "parameters": _parameters_payload(params)}
     payload.update(fields)
-    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
+    chunks = _json_chunks(payload, *table)
+    with _output(output) as handle:
+        handle.writelines(chunks)
 
 
 def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
-    """Write one table: CSV rows one at a time under a header row, or a
-    JSON payload with the rows as objects under ``key`` beside ``meta``.
-    Rows hold None, bool, int, float and str only (see :func:`_exact`),
-    so nothing can raise once the first byte is written."""
+    """Write one table row by row: CSV under a header row, or JSON
+    objects under ``key`` beside ``meta``.  Rows hold None, bool, int,
+    float and str only, and every float cell is finite (see
+    :func:`_exact`; trajectory rows are ints), so nothing can raise
+    once the first byte is written: a failing table leaves stdout
+    empty in either format."""
     if args.format == "json":
-        meta[key] = [dict(zip(header, row)) for row in rows]
-        _emit_json(command, params, args.output, **meta)
+        _emit_json(command, params, args.output, (key, header, rows), **meta)
         return 0
     with _output(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -248,9 +284,10 @@ def cmd_compare(args) -> int:
         tv = analysis.tv_distance(empirical, exact)
         statistic, dof = analysis.chi_square_statistic(empirical, exact)
         threshold = analysis.chi_square_threshold(dof)
-        rows.append(
-            [start, args.trials, tv, statistic, dof, threshold, statistic <= threshold]
-        )
+        rows.append(_exact(
+            [start, args.trials, tv, statistic, dof, threshold, statistic <= threshold],
+            initial=start,
+        ))
     return _emit_table(args, ip, "compare", header, rows, trials=args.trials, seed=args.seed)
 
 
@@ -285,15 +322,15 @@ def cmd_graph(args) -> int:
         matrix = banded.birth_factor(coeffs, args.T)
     else:
         matrix = banded.reconstructed_matrix(coeffs, args.T)
-    lines = [f"digraph {args.which} {{", "  rankdir=LR;"]
-    for state in range(args.T):
-        lines.append(f"  {state};")
-    for i in range(args.T):
-        for j, value in matrix.row_entries(i):
-            if value != 0:
-                lines.append(f'  {i} -> {j} [label="{_cell(value)}"];')
-    lines.append("}")
-    _emit("\n".join(lines) + "\n", args.output)
+    with _output(args.output) as handle:
+        handle.write(f"digraph {args.which} {{\n  rankdir=LR;\n")
+        handle.writelines(f"  {state};\n" for state in range(args.T))
+        for i in range(args.T):
+            handle.writelines(
+                f'  {i} -> {j} [label="{_cell(value)}"];\n'
+                for j, value in matrix.row_entries(i) if value != 0
+            )
+        handle.write("}\n")
     return 0
 
 

@@ -1,16 +1,21 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from urnchain.cli import main
+from urnchain import analysis
+from urnchain.cli import _ROWS_MARKER, _json_chunks, main
 from urnchain.coefficients import (
     IntegerParameters,
     lu_coefficients,
@@ -325,6 +330,347 @@ digraph PU {
   2 -> 2 [label="5/13"];
   2 -> 3 [label="8/13"];
   3 -> 3 [label="7/22"];
+}
+"""),
+}
+
+
+# JSON table stdout and exit code per case, recorded while the JSON
+# envelope was still dumped as one string, before tables were written
+# row by row: any change in a table's bytes shows here
+JSON = ("--format", "json")
+PINNED_JSON = {
+    "coeffs-exact": (("coeffs", *EXACT, "--n-max", "1", *JSON), 0, """\
+{
+  "command": "coeffs",
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [
+    {
+      "a": "4/7",
+      "b": "3/7",
+      "c": null,
+      "d": null,
+      "n": 0,
+      "r": "0",
+      "s": "1",
+      "t": "0",
+      "x": "4/7",
+      "y": "3/7"
+    },
+    {
+      "a": "7/13",
+      "b": "100/273",
+      "c": "2/21",
+      "d": null,
+      "n": 1,
+      "r": "2/9",
+      "s": "7/9",
+      "t": "0",
+      "x": "9/13",
+      "y": "4/13"
+    }
+  ],
+  "schema": "1"
+}
+"""),
+    "coeffs-float": (("coeffs", *FLOAT, "--n-max", "1", *JSON), 0, """\
+{
+  "command": "coeffs",
+  "parameters": {
+    "alpha": 0.9,
+    "beta": 0.1,
+    "form": "general",
+    "gamma": 0.5
+  },
+  "rows": [
+    {
+      "a": 0.4411764705882353,
+      "b": 0.5588235294117647,
+      "c": null,
+      "d": null,
+      "n": 0,
+      "r": 0.0,
+      "s": 1.0,
+      "t": 0.0,
+      "x": 0.4411764705882353,
+      "y": 0.5588235294117647
+    },
+    {
+      "a": 0.5366161616161615,
+      "b": 0.33637849079025545,
+      "c": 0.1270053475935829,
+      "d": null,
+      "n": 1,
+      "r": 0.22727272727272727,
+      "s": 0.7727272727272726,
+      "t": 0.0,
+      "x": 0.6944444444444444,
+      "y": 0.3055555555555556
+    }
+  ],
+  "schema": "1"
+}
+"""),
+    "poly-exact": (("poly", *EXACT, "--n-max", "1", "--x", "1", "--x", "3/4", *JSON), 0, """\
+{
+  "command": "poly",
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [
+    {
+      "n": 0,
+      "q": 1,
+      "x": "1"
+    },
+    {
+      "n": 1,
+      "q": "1",
+      "x": "1"
+    },
+    {
+      "n": 0,
+      "q": 1,
+      "x": "3/4"
+    },
+    {
+      "n": 1,
+      "q": "9/16",
+      "x": "3/4"
+    }
+  ],
+  "schema": "1"
+}
+"""),
+    "poly-float": (("poly", *FLOAT, "--n-max", "1", "--x", "1", "--x", "3/4", *JSON), 0, """\
+{
+  "command": "poly",
+  "parameters": {
+    "alpha": 0.9,
+    "beta": 0.1,
+    "form": "general",
+    "gamma": 0.5
+  },
+  "rows": [
+    {
+      "n": 0,
+      "q": 1.0,
+      "x": 1.0
+    },
+    {
+      "n": 1,
+      "q": 1.0,
+      "x": 1.0
+    },
+    {
+      "n": 0,
+      "q": 1.0,
+      "x": 0.75
+    },
+    {
+      "n": 1,
+      "q": 0.4333333333333333,
+      "x": 0.75
+    }
+  ],
+  "schema": "1"
+}
+"""),
+    "simulate-composite": ((
+        "simulate", *EXACT, "--initial", "4", "--steps", "1", "--trials", "2", "--seed", "2024",
+        *JSON,
+    ), 0, """\
+{
+  "command": "simulate",
+  "experiment": "composite",
+  "initial": 4,
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [
+    {
+      "state": 4,
+      "step": 0,
+      "sub_step": 0,
+      "trial": 0
+    },
+    {
+      "state": 3,
+      "step": 1,
+      "sub_step": 1,
+      "trial": 0
+    },
+    {
+      "state": 4,
+      "step": 1,
+      "sub_step": 2,
+      "trial": 0
+    },
+    {
+      "state": 4,
+      "step": 0,
+      "sub_step": 0,
+      "trial": 1
+    },
+    {
+      "state": 4,
+      "step": 1,
+      "sub_step": 1,
+      "trial": 1
+    },
+    {
+      "state": 5,
+      "step": 1,
+      "sub_step": 2,
+      "trial": 1
+    }
+  ],
+  "schema": "1",
+  "seed": 2024,
+  "steps": 1,
+  "trials": 2
+}
+"""),
+    "simulate-experiment-1": ((
+        "simulate", *EXACT, "--experiment", "1", "--initial", "4", "--steps", "2",
+        "--trials", "1", "--seed", "2024", *JSON,
+    ), 0, """\
+{
+  "command": "simulate",
+  "experiment": "1",
+  "initial": 4,
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [
+    {
+      "state": 4,
+      "step": 0,
+      "sub_step": 0,
+      "trial": 0
+    },
+    {
+      "state": 4,
+      "step": 1,
+      "sub_step": 1,
+      "trial": 0
+    },
+    {
+      "state": 3,
+      "step": 2,
+      "sub_step": 1,
+      "trial": 0
+    }
+  ],
+  "schema": "1",
+  "seed": 2024,
+  "steps": 2,
+  "trials": 1
+}
+"""),
+    "simulate-aggregate": ((
+        "simulate", *EXACT, "--initial", "4", "--steps", "3", "--trials", "100", "--seed", "2024",
+        "--aggregate", *JSON,
+    ), 0, """\
+{
+  "command": "simulate",
+  "counts": [
+    {
+      "count": 6,
+      "state": 2
+    },
+    {
+      "count": 12,
+      "state": 3
+    },
+    {
+      "count": 23,
+      "state": 4
+    },
+    {
+      "count": 33,
+      "state": 5
+    },
+    {
+      "count": 24,
+      "state": 6
+    },
+    {
+      "count": 2,
+      "state": 7
+    }
+  ],
+  "experiment": "composite",
+  "initial": 4,
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "schema": "1",
+  "seed": 2024,
+  "steps": 3,
+  "trials": 100
+}
+"""),
+    "simulate-no-trials": (("simulate", *EXACT, "--trials", "0", *JSON), 0, """\
+{
+  "command": "simulate",
+  "experiment": "composite",
+  "initial": 0,
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [],
+  "schema": "1",
+  "seed": 19024,
+  "steps": 1,
+  "trials": 0
+}
+"""),
+    "compare": ((
+        "compare", *EXACT, "--initial", "1", "--trials", "1000", "--seed", "7", *JSON,
+    ), 0, """\
+{
+  "command": "compare",
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [
+    {
+      "chi_square": 0.3089085714285727,
+      "chi_square_0999": 13.815510557964274,
+      "dof": 2,
+      "initial": 1,
+      "ok": true,
+      "trials": 1000,
+      "tv_distance": 0.007699633699633682
+    }
+  ],
+  "schema": "1",
+  "seed": 7,
+  "trials": 1000
 }
 """),
 }
@@ -685,6 +1031,17 @@ class TestCompare:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_value_exits_one_and_names_the_row(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(analysis, "tv_distance", lambda empirical, exact: math.nan)
+        code, out, err = run_cli(
+            capsys, "compare", "--M", "2", "--N", "3", "--gamma", "1",
+            "--trials", "100", "--initial", "3", "--format", fmt,
+        )
+        assert code == 1 and out == ""
+        assert "value nan at initial = 3 is not finite" in err
+
+
 class TestPoly:
     def test_all_ones_at_x_equal_one(self, capsys):
         code, out, _ = run_cli(
@@ -784,6 +1141,77 @@ class TestPinnedOutput:
         argv, expected_code, expected_out = PINNED_VERIFY_GRAPH[case]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (expected_code, expected_out, "")
+
+    @pytest.mark.parametrize("case", list(PINNED_JSON))
+    def test_json_table_output_is_pinned(self, tmp_path, capsys, case):
+        argv, expected_code, expected_out = PINNED_JSON[case]
+        assert run_cli(capsys, *argv) == (expected_code, expected_out, "")
+        path = tmp_path / "table.json"
+        assert run_cli(capsys, *argv, "--output", str(path)) == (expected_code, "", "")
+        assert path.read_bytes() == expected_out.encode()
+
+
+# table cells and field names as the CLI writes them: scalars only, with
+# strings that JSON must escape and one equal to the rows marker
+TRICKY_TEXT = st.sampled_from(
+    ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "über ∑ 🎲", _ROWS_MARKER]
+)
+CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    TRICKY_TEXT,
+)
+NAMES = st.text(max_size=6) | TRICKY_TEXT.filter(lambda name: name != _ROWS_MARKER)
+
+
+@st.composite
+def json_tables(draw):
+    header = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.tuples(*[CELLS] * len(header)), max_size=6))
+    key = draw(st.sampled_from(["rows", "counts"]))
+    # meta keys on both sides of either table key in sorted order
+    meta = draw(st.dictionaries(
+        st.sampled_from(["a", "command", "parameters", "rt", "schema", "z"]) | NAMES,
+        CELLS.filter(lambda value: value != _ROWS_MARKER),
+        max_size=5,
+    ))
+    meta.pop(key, None)
+    return meta, key, header, rows
+
+
+class TestJsonTable:
+    @given(json_tables())
+    def test_streamed_table_equals_one_dump(self, table):
+        payload, key, header, rows = table
+        expected = json.dumps(
+            {**payload, key: [dict(zip(header, row)) for row in rows]},
+            indent=2, sort_keys=True, allow_nan=False,
+        ) + "\n"
+        assert "".join(_json_chunks(payload, key, header, iter(rows))) == expected
+
+    def test_marker_in_the_envelope_is_refused(self):
+        with pytest.raises(ValueError, match="reserved"):
+            _json_chunks({"seed": _ROWS_MARKER}, "rows", ["n"], [(0,)])
+
+    def test_memory_does_not_grow_with_the_row_count(self, tmp_path, capsys):
+        path = tmp_path / "paths.json"
+        tracemalloc.start()
+        try:
+            code = main([
+                "simulate", "--M", "7", "--N", "3", "--gamma", "2", "--initial", "20",
+                "--steps", "100", "--trials", "800", "--format", "json", "--output", str(path),
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, *capsys.readouterr()) == (0, "", "")
+        # 160800 rows, about 13.8 MB; one string of them peaked at 162 MiB
+        assert path.stat().st_size > 13_000_000
+        assert peak < 4 << 20
 
 
 class TestEntryPoint:
