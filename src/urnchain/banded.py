@@ -83,8 +83,10 @@ class BandedMatrix:
         return out
 
     def row_sum(self, i: int) -> Scalar:
+        """Band row i added left to right from int 0, as :func:`multiply`
+        adds (not ``sum()``, which compensates floats from Python 3.12 on)."""
         total = 0
-        for _, value in self.row_entries(i):
+        for value in self.rows[i]:
             total += value
         return total
 
@@ -197,13 +199,18 @@ class FactorizationReport:
         }
 
 
-def _worst(*deviations):
-    """Largest deviation, or the first NaN: max() drops a NaN that is
-    not its first argument, which would let a NaN coefficient pass."""
+def _worst(deviations: Iterable[Scalar]) -> Scalar:
+    """One check's deviation: the first NaN among ``deviations``, else
+    the largest of 0 and them (ties keep the earlier value, as max()
+    does).  max() alone drops a NaN that is not its first argument,
+    which would let a NaN coefficient pass."""
+    worst = 0
     for deviation in deviations:
-        if deviation != deviation:
+        if deviation > worst:
+            worst = deviation
+        elif deviation != deviation:  # NaN compares false both ways
             return deviation
-    return max(deviations)
+    return worst
 
 
 def verify_factorization(
@@ -217,6 +224,10 @@ def verify_factorization(
     structure, factor and product row sums, coefficient bounds and the
     boundary values t_0 = t_1 = r_0 = 0, s_0 = 1.
 
+    A check's deviation is the largest absolute difference over its
+    entries (for coefficient bounds, the distance outside [0, 1]), 0
+    when it has none, or NaN, which fails the check; it passes when
+    finite and, compared exactly, at most ``tolerance``.
     ``tolerance`` defaults to 0 for exact coefficients and 1e-12 for
     float coefficients (entries are O(1) ratios and the products sum at
     most three terms, so no cancellation grows the error).
@@ -229,56 +240,44 @@ def verify_factorization(
     if tolerance is None:
         tolerance = 0.0 if kind in ("exact", "int") else 1e-12
 
-    def bounded(name: str, deviation, detail: str = "") -> CheckResult:
+    def bounded(name: str, deviations: Iterable[Scalar], detail: str) -> CheckResult:
+        deviation = _worst(deviations)
         dev = float(deviation)
         # compare the exact deviation: a tiny Fraction may round to 0.0
         return CheckResult(name, math.isfinite(dev) and deviation <= tolerance, dev, detail)
 
-    checks = []
-
-    dev = 0
-    for n in range(size):
-        dev = _worst(dev, abs(c.x[n] + c.y[n] - 1), abs(c.t[n] + c.r[n] + c.s[n] - 1))
-    checks.append(bounded("coefficient_row_sums", dev, "x+y = 1 and t+r+s = 1"))
-
-    dev = 0
-    for seq in (c.x, c.y, c.t, c.r, c.s):
-        for value in seq[:size]:
-            dev = _worst(dev, -value, value - 1, 0)
-    checks.append(bounded("coefficient_bounds", dev, "all coefficients within [0, 1]"))
-
-    dev = _worst(abs(c.t[0]), abs(c.r[0]), abs(c.s[0] - 1))
-    if size > 1:
-        dev = _worst(dev, abs(c.t[1]))
-    checks.append(bounded("boundary_values", dev, "t_0 = t_1 = r_0 = 0 and s_0 = 1"))
-
+    x, y, t, r, s = (seq[:size] for seq in (c.x, c.y, c.t, c.r, c.s))
+    boundary = [t[0], r[0], s[0] - 1, *t[1:2]]  # t_1 only when size > 1
     bands = (product.lower_bandwidth, product.upper_bandwidth)
-    checks.append(CheckResult(
-        "band_structure", bands == (2, 1), 0.0, f"product bandwidths (lower, upper) = {bands}"
-    ))
-
-    dev = 0
-    for i in range(size):
-        dev = _worst(dev, abs(lower.row_sum(i) - 1))
-        if upper.is_interior(i):
-            dev = _worst(dev, abs(upper.row_sum(i) - 1))
-    checks.append(bounded("factor_row_sums", dev, "interior factor rows sum to 1"))
-
-    dev = 0
     rows_compared = max(size - 2, 0)
-    for i in range(rows_compared):
-        for j, value in product.row_entries(i):
-            dev = _worst(dev, abs(value - direct.entry(i, j)))
     compared = f" rows 0..{rows_compared - 1}" if rows_compared else ": no rows compared"
-    checks.append(bounded("lu_identity", dev, f"product vs direct{compared}"))
+    # both are (2, 1)-banded with 0 stored past the edges, so band rows align
+    row_pairs = zip(product.rows[:rows_compared], direct.rows)
 
-    dev = 0
-    for i in range(size):
-        if product.is_interior(i):
-            dev = _worst(dev, abs(product.row_sum(i) - 1))
-    checks.append(bounded("product_row_sums", dev, "interior product rows sum to 1"))
-
-    return FactorizationReport(size, kind, float(tolerance), tuple(checks))
+    checks = (
+        bounded("coefficient_row_sums", (
+            abs(dev)
+            for xn, yn, tn, rn, sn in zip(x, y, t, r, s)
+            for dev in (xn + yn - 1, tn + rn + sn - 1)
+        ), "x+y = 1 and t+r+s = 1"),
+        bounded("coefficient_bounds", (
+            dev for seq in (x, y, t, r, s) for value in seq for dev in (-value, value - 1)
+        ), "all coefficients within [0, 1]"),
+        bounded("boundary_values", map(abs, boundary), "t_0 = t_1 = r_0 = 0 and s_0 = 1"),
+        CheckResult(
+            "band_structure", bands == (2, 1), 0.0, f"product bandwidths (lower, upper) = {bands}"
+        ),
+        bounded("factor_row_sums", (
+            abs(m.row_sum(i) - 1) for m in (lower, upper) for i in range(size) if m.is_interior(i)
+        ), "interior factor rows sum to 1"),
+        bounded("lu_identity", (
+            abs(p - d) for rows in row_pairs for p, d in zip(*rows)
+        ), f"product vs direct{compared}"),
+        bounded("product_row_sums", (
+            abs(product.row_sum(i) - 1) for i in range(size) if product.is_interior(i)
+        ), "interior product rows sum to 1"),
+    )
+    return FactorizationReport(size, kind, float(tolerance), checks)
 
 
 def verify_lu(

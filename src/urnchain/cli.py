@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -194,14 +195,8 @@ def _build_coefficients(params, n_max: int) -> LUCoefficients:
 
 
 def _parameters_payload(params) -> dict:
-    if isinstance(params, IntegerParameters):
-        return {"form": "integer", "M": params.M, "N": params.N, "gamma": params.gamma}
-    return {
-        "form": "general",
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "gamma": params.gamma,
-    }
+    form = "integer" if isinstance(params, IntegerParameters) else "general"
+    return {"form": form, **dataclasses.asdict(params)}
 
 
 def cmd_coeffs(args) -> int:

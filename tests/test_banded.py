@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import build, identity, to_dense
 
+from urnchain import banded
 from urnchain.banded import (
     BandedMatrix,
     birth_factor,
@@ -55,6 +58,70 @@ def banded_pairs(draw):
         return BandedMatrix.from_rows(size, lower, upper, rows)
 
     return matrix(), matrix()
+
+
+def total(values):
+    """Sum from int 0, left to right."""
+    out = 0
+    for value in values:
+        out += value
+    return out
+
+
+def dense_product(left, right):
+    """Triple-loop product of two dense square matrices."""
+    size = len(left)
+    return [[total(left[i][k] * right[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)]
+
+
+@st.composite
+def coefficient_tuples(draw):
+    """Coefficients for sizes 1..8, all Fraction or all float, with any
+    finite values: not necessarily stochastic, and floats large enough
+    that products overflow to infinity and differences of them to NaN."""
+    size = draw(st.integers(1, 8))
+    values = draw(st.sampled_from([
+        st.fractions(-10, 10, max_denominator=100),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ]))
+    seqs = [tuple(draw(st.lists(values, min_size=size, max_size=size))) for _ in range(5)]
+    return LUCoefficients(*seqs), size
+
+
+def worst(deviations):
+    """The first NaN, else the largest of 0 and the deviations."""
+    nans = [dev for dev in deviations if dev != dev]
+    return nans[0] if nans else max([0, *deviations])
+
+
+def dense_checks(c: LUCoefficients, size: int, tolerance) -> dict:
+    """Check name -> (passed, deviation), read off dense views of the two
+    factors, their triple-loop product and the direct chain."""
+    lower, upper = to_dense(death_factor(c, size)), to_dense(birth_factor(c, size))
+    product = dense_product(lower, upper)
+    direct = to_dense(reconstructed_matrix(c, size))
+    x, y, t, r, s = (seq[:size] for seq in (c.x, c.y, c.t, c.r, c.s))
+    deviations = {
+        "coefficient_row_sums": [abs(x[n] + y[n] - 1) for n in range(size)]
+        + [abs(t[n] + r[n] + s[n] - 1) for n in range(size)],
+        "coefficient_bounds": [-v for seq in (x, y, t, r, s) for v in seq]
+        + [v - 1 for seq in (x, y, t, r, s) for v in seq],
+        "boundary_values": [abs(t[0]), abs(r[0]), abs(s[0] - 1)] + [abs(v) for v in t[1:2]],
+        # the birth factor's last row loses x over the edge
+        "factor_row_sums": [abs(total(row) - 1) for row in lower + upper[:-1]],
+        # the last two rows reach past the truncation
+        "lu_identity": [abs(product[i][j] - direct[i][j])
+                        for i in range(size - 2) for j in range(size)],
+        "product_row_sums": [abs(total(row) - 1) for row in product[:-1]],
+    }
+    if tolerance is None:
+        tolerance = 1e-12 if isinstance(x[0], float) else 0
+    out = {"band_structure": (True, 0.0)}
+    for name, devs in deviations.items():
+        dev = worst(devs)
+        out[name] = (math.isfinite(float(dev)) and dev <= tolerance, float(dev))
+    return out
 
 
 class TestBandedMatrix:
@@ -117,17 +184,7 @@ class TestMultiply:
         # each entry summed from int 0 in ascending k: float rounding
         # matches only when the banded product adds its terms in that order
         a, b = pair
-        left, right = to_dense(a), to_dense(b)
-        dense = []
-        for i in range(a.size):
-            row = []
-            for j in range(a.size):
-                total = 0
-                for k in range(a.size):
-                    total += left[i][k] * right[k][j]
-                row.append(total)
-            dense.append(row)
-        assert to_dense(multiply(a, b)) == dense
+        assert to_dense(multiply(a, b)) == dense_product(to_dense(a), to_dense(b))
 
     def test_associative_on_random_triples(self):
         gen = np.random.default_rng(8)
@@ -235,6 +292,33 @@ class TestVerify:
             assert check.detail == "product vs direct: no rows compared"
         check = {c.name: c for c in verify_lu(IP, 3).checks}["lu_identity"]
         assert check.detail == "product vs direct rows 0..0"
+
+    @given(coefficient_tuples(), st.none() | st.floats(0, 10))
+    def test_every_check_matches_a_dense_reference(self, case, tolerance):
+        c, size = case
+        report = verify_factorization(c, size, tolerance)
+        expected = dense_checks(c, size, tolerance)
+        assert [check.name for check in report.checks] == [
+            "coefficient_row_sums", "coefficient_bounds", "boundary_values",
+            "band_structure", "factor_row_sums", "lu_identity", "product_row_sums",
+        ]
+        for check in report.checks:
+            passed, deviation = expected[check.name]
+            # repr, since NaN (from infinities that cancel) equals nothing
+            assert (check.passed, repr(check.deviation)) == (passed, repr(deviation)), check.name
+
+    def test_builders_are_called_through_the_module(self, monkeypatch):
+        # the benchmark's tracer times each of these by swapping the name
+        # in this module: verify must look them up there, once each
+        calls = Counter()
+        names = ("death_factor", "birth_factor", "multiply", "reconstructed_matrix")
+        for name in names:
+            def counting(*args, name=name, original=getattr(banded, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(banded, name, counting)
+        verify_lu(IP, 10)
+        assert calls == Counter(names)
 
     def test_nan_tolerance_fails_everything(self):
         report = verify_factorization(lu_coefficients_integer(IP, 19), 20, tolerance=float("nan"))

@@ -277,6 +277,69 @@ PINNED_VERIFY_GRAPH = {
   "tolerance": 0.0
 }
 """),
+    # a float product row sum whose deviation depends on the order in
+    # which the band row is summed
+    "verify-float-400": (("verify", "--alpha", "2.764865653478637", "--beta", "2.1033914251575667",
+                          "--gamma", "2.227272722347545", "--T", "400", "--tolerance", "0"), 3, """\
+{
+  "checks": [
+    {
+      "detail": "x+y = 1 and t+r+s = 1",
+      "max_deviation": 2.220446049250313e-16,
+      "name": "coefficient_row_sums",
+      "passed": false
+    },
+    {
+      "detail": "all coefficients within [0, 1]",
+      "max_deviation": 0.0,
+      "name": "coefficient_bounds",
+      "passed": true
+    },
+    {
+      "detail": "t_0 = t_1 = r_0 = 0 and s_0 = 1",
+      "max_deviation": 0.0,
+      "name": "boundary_values",
+      "passed": true
+    },
+    {
+      "detail": "product bandwidths (lower, upper) = (2, 1)",
+      "max_deviation": 0.0,
+      "name": "band_structure",
+      "passed": true
+    },
+    {
+      "detail": "interior factor rows sum to 1",
+      "max_deviation": 2.220446049250313e-16,
+      "name": "factor_row_sums",
+      "passed": false
+    },
+    {
+      "detail": "product vs direct rows 0..397",
+      "max_deviation": 0.0,
+      "name": "lu_identity",
+      "passed": true
+    },
+    {
+      "detail": "interior product rows sum to 1",
+      "max_deviation": 4.440892098500626e-16,
+      "name": "product_row_sums",
+      "passed": false
+    }
+  ],
+  "command": "verify",
+  "kind": "float",
+  "parameters": {
+    "alpha": 2.764865653478637,
+    "beta": 2.1033914251575667,
+    "form": "general",
+    "gamma": 2.227272722347545
+  },
+  "passed": false,
+  "schema": "1",
+  "size": 400,
+  "tolerance": 0.0
+}
+"""),
     "graph-P": (("graph", *EXACT, "--which", "P", "--T", "4"), 0, """\
 digraph P {
   rankdir=LR;
