@@ -266,7 +266,6 @@ def cmd_compare(args) -> int:
     _require(args.trials >= 1, "--trials must be >= 1")
     _require(args.threads >= 1, "--threads must be >= 1")
     _require(args.seed >= 0, "--seed must be >= 0")
-    coeffs = lu_coefficients_integer(ip, max(initials))
     header = ["initial", "trials", "tv_distance", "chi_square", "dof", "chi_square_0999", "ok"]
     rows = []
     for start in initials:
@@ -274,7 +273,8 @@ def cmd_compare(args) -> int:
             ip, start, urns.COMPOSITE, args.trials, args.seed,
             stream_offset=start << 20, threads=args.threads,
         )
-        exact = reconstruct_row(coeffs, start)
+        # the draw tree's law in a TransitionRow's order: float sums follow it
+        exact = dict(sorted(urns.composite_distribution(ip, start).items(), reverse=True))
         empirical = analysis.EmpiricalDistribution.from_counts(counts)
         tv = analysis.tv_distance(empirical, exact)
         statistic, dof = analysis.chi_square_statistic(empirical, exact)
@@ -300,7 +300,10 @@ def cmd_poly(args) -> int:
         except (ValueError, ZeroDivisionError):
             raise ParameterError(f"--x must be a rational number (got {text!r})") from None
         if not exact:
-            point = float(point)
+            try:
+                point = float(point)
+            except OverflowError:
+                raise ParameterError(f"--x overflows a double (got {text!r})") from None
         evaluation = analysis.evaluate_polynomials(coeffs, point, args.n_max)
         for n, value in enumerate(evaluation.values):
             rows.append(_exact([point, n, value], x=text, n=n))

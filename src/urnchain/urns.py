@@ -7,12 +7,14 @@ most one.  The composite chain runs experiment 1 then experiment 2.
 
 The ball counts of every urn at every state come from
 :func:`urnchain.coefficients.urn_slots`, whose docstring holds the
-composition table.  State 0 is absorbing for experiment 1 only; the
-composite chain still runs experiment 2 there.
+composition table.  Every reader here takes its slots one way: a slot
+with no urn draws nothing and counts as red.  That one rule makes state
+0 absorbing for experiment 1 (the composite chain still runs experiment
+2 there) and makes state 1 draw once, from A.
 
 Every draw is an integer draw against the exact ball counts, never a
 floating-point probability; the exact enumeration oracle walks the same
-urn compositions with Fraction branch weights.  :func:`experiment2_urn`
+draw tree with Fraction branch weights.  :func:`experiment2_urn`
 and :func:`experiment1_urns` name the slots of ``urn_slots`` as urns,
 and the vectorized sampler copies the same slots into one int64 table
 of the states its lanes draw from (about 64 bytes per state).
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import IntegerParameters, ParameterError, urn_slots
+from .coefficients import _NO_URN, IntegerParameters, ParameterError, urn_slots
 
 BLUE = "blue"
 RED = "red"
@@ -131,14 +133,11 @@ def experiment2_urn(ip: IntegerParameters, m: int) -> Urn:
 
 
 def experiment1_urns(ip: IntegerParameters, m: int) -> tuple[Urn, ...]:
-    """Urns prepared for one pure-death step from state m: empty tuple
-    at the absorbing state 0, a single urn at state 1, (A, B, R) above."""
-    _, a, r, b = urn_slots(ip, m)
-    if m == 0:
-        return ()
-    if m == 1:
-        return (_urn("A", a),)
-    return (_urn("A", a), _urn("B", b), _urn("R", r))
+    """Urns prepared for one pure-death step from state m: those of A,
+    B and R that hold an urn, so none at the absorbing state 0 and A
+    alone at state 1."""
+    slots = urn_slots(ip, m)
+    return tuple(_urn(_SLOT_NAMES[k], slots[k]) for k in (1, 3, 2) if slots[k] != _NO_URN)
 
 
 def _int64_total(name: str, total: int, m: int) -> int:
@@ -154,34 +153,31 @@ def _int64_total(name: str, total: int, m: int) -> int:
 
 def _draw(
     slots: tuple[tuple[int, int], ...], k: int, m: int, gen: np.random.Generator
-) -> tuple[str, str]:
-    """One integer draw against the exact counts of slot k of
-    :func:`urn_slots` at state m, as (urn name, color)."""
+) -> tuple[tuple[str, str], ...]:
+    """The draw record of slot k of :func:`urn_slots` at state m: one
+    integer draw against its exact counts, as ((urn name, color),), or
+    no draw, (), from a slot with no urn, which leaves ``gen`` as is."""
+    if slots[k] == _NO_URN:
+        return ()
     blue, total = slots[k]
     name = _SLOT_NAMES[k]
-    return name, BLUE if int(gen.integers(_int64_total(name, total, m))) < blue else RED
+    return ((name, BLUE if int(gen.integers(_int64_total(name, total, m))) < blue else RED),)
 
 
 def experiment2_step(ip: IntegerParameters, m: int, gen: np.random.Generator) -> StepOutcome:
     """One pure-birth step; the end state is m + 1 on blue, m on red."""
-    draw = _draw(urn_slots(ip, m), 0, m, gen)
-    return StepOutcome(2, m, m + (draw[1] == BLUE), (draw,))
+    draws = _draw(urn_slots(ip, m), 0, m, gen)
+    return StepOutcome(2, m, m + sum(color == BLUE for _, color in draws), draws)
 
 
 def experiment1_step(ip: IntegerParameters, m: int, gen: np.random.Generator) -> StepOutcome:
     """One pure-death step; the end state drops by the number of blue
-    draws (at most two).  State 0 is absorbing and draws nothing; state 1
-    draws once, from A."""
+    draws (at most two)."""
     slots = urn_slots(ip, m)
-    if m == 0:
-        return StepOutcome(1, 0, 0, ())
     first = _draw(slots, 1, m, gen)
-    if m == 1:
-        return StepOutcome(1, 1, 1 - (first[1] == BLUE), (first,))
     # the second draw comes from B after a blue, from R after a red
-    second = _draw(slots, 3 if first[1] == BLUE else 2, m, gen)
-    down = (first[1] == BLUE) + (second[1] == BLUE)
-    return StepOutcome(1, m, m - down, (first, second))
+    draws = first + _draw(slots, 3 if ("A", BLUE) in first else 2, m, gen)
+    return StepOutcome(1, m, m - sum(color == BLUE for _, color in draws), draws)
 
 
 def composite_step(
@@ -221,29 +217,27 @@ def enumerate_step_distribution(
     must reproduce (y_m, x_m) for experiment 2 and (t_m, r_m, s_m) for
     experiment 1, which the test suite asserts exactly.
     """
-    if experiment == 2:
-        urn = experiment2_urn(ip, m)
-        p_blue = Fraction(urn.blue, urn.total)
-        return {m + 1: p_blue, m: 1 - p_blue}
-    if experiment != 1:
+    if experiment not in (1, 2):
         raise ValueError(f"experiment must be 1 or 2 (got {experiment!r})")
-    urns = experiment1_urns(ip, m)
-    if not urns:
-        return {0: Fraction(1)}
-    if len(urns) == 1:
-        p_blue = Fraction(urns[0].blue, urns[0].total)
-        return {0: p_blue, 1: 1 - p_blue}
-    urn_a, urn_b, urn_r = urns
+    slots = urn_slots(ip, m)
+    if experiment == 2:
+        return {m + blue: weight for blue, weight in _branches(slots[0])}
     dist: dict[int, Fraction] = {}
-    for first_blue, second_urn in ((True, urn_b), (False, urn_r)):
-        p_first = Fraction(urn_a.blue if first_blue else urn_a.red, urn_a.total)
-        for second_blue in (True, False):
-            p_second = Fraction(
-                second_urn.blue if second_blue else second_urn.red, second_urn.total
-            )
-            end = m - (first_blue + second_blue)
+    for first_blue, p_first in _branches(slots[1]):
+        # the second draw comes from B after a blue, from R after a red
+        for second_blue, p_second in _branches(slots[3 if first_blue else 2]):
+            end = m - first_blue - second_blue
             dist[end] = dist.get(end, Fraction(0)) + p_first * p_second
     return dist
+
+
+def _branches(slot: tuple[int, int]) -> Iterator[tuple[int, Fraction]]:
+    """(blue drawn, exact weight) of each non-zero branch of one draw
+    from ``slot``, blue first; a slot with no urn is red with weight 1."""
+    blue, total = slot
+    for drawn, balls in ((1, blue), (0, total - blue)):
+        if balls:
+            yield drawn, Fraction(balls, total)
 
 
 def composite_distribution(ip: IntegerParameters, m: int) -> dict[int, Fraction]:

@@ -739,6 +739,67 @@ PINNED_JSON = {
 }
 
 
+# compare stdout per format, recorded while compare still read each
+# start's law from the coefficient rows 0..max(--initial): states 5000
+# and 200000 lie far above the bench's, and at state 2 a law summed in
+# another end-state order gives other last bits of the chi-square
+COMPARE_STARTS = (
+    "compare", *EXACT, "--initial", "2", "--initial", "5000", "--initial", "200000",
+    "--trials", "2000",
+)
+PINNED_COMPARE = {
+    "csv": """\
+initial,trials,tv_distance,chi_square,dof,chi_square_0999,ok
+2,2000,0.0077191142191142016,3.5646274115279892,3,16.266236196238129,True
+5000,2000,0.010670397943478316,4.3369488596180847,3,16.266236196238129,True
+200000,2000,0.0087570370542751214,1.5152743060184763,3,16.266236196238129,True
+""",
+    "json": """\
+{
+  "command": "compare",
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [
+    {
+      "chi_square": 3.5646274115279892,
+      "chi_square_0999": 16.26623619623813,
+      "dof": 3,
+      "initial": 2,
+      "ok": true,
+      "trials": 2000,
+      "tv_distance": 0.007719114219114202
+    },
+    {
+      "chi_square": 4.336948859618085,
+      "chi_square_0999": 16.26623619623813,
+      "dof": 3,
+      "initial": 5000,
+      "ok": true,
+      "trials": 2000,
+      "tv_distance": 0.010670397943478316
+    },
+    {
+      "chi_square": 1.5152743060184763,
+      "chi_square_0999": 16.26623619623813,
+      "dof": 3,
+      "initial": 200000,
+      "ok": true,
+      "trials": 2000,
+      "tv_distance": 0.008757037054275121
+    }
+  ],
+  "schema": "1",
+  "seed": 19024,
+  "trials": 2000
+}
+""",
+}
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -1141,6 +1202,14 @@ class TestPoly:
         )
         assert code == 2 and "--x" in err
 
+    @pytest.mark.parametrize("point", ["1e400", "-1e400"])
+    def test_point_beyond_double_range_exits_two(self, capsys, point):
+        code, out, err = run_cli(
+            capsys, "poly", "--alpha", ".5", "--beta", ".3", "--gamma", "1", f"--x={point}"
+        )
+        assert code == 2 and out == ""
+        assert "--x" in err
+
 
 class TestInputValidation:
     def test_negative_initial_rejected(self, capsys):
@@ -1212,6 +1281,10 @@ class TestPinnedOutput:
         path = tmp_path / "table.json"
         assert run_cli(capsys, *argv, "--output", str(path)) == (expected_code, "", "")
         assert path.read_bytes() == expected_out.encode()
+
+    @pytest.mark.parametrize("fmt", list(PINNED_COMPARE))
+    def test_compare_output_is_pinned(self, capsys, fmt):
+        assert run_cli(capsys, *COMPARE_STARTS, "--format", fmt) == (0, PINNED_COMPARE[fmt], "")
 
 
 # table cells and field names as the CLI writes them: scalars only, with

@@ -10,6 +10,7 @@ from urnchain.coefficients import (
     ParameterError,
     lu_coefficients_integer,
     reconstruct_row,
+    urn_slots,
 )
 from urnchain.urns import (
     COMPOSITE,
@@ -142,6 +143,44 @@ class TestSteps:
                 assert second.start_state == first.end_state
                 assert second.end_state in {m - 2, m - 1, m, m + 1}
                 assert second.end_state >= 0
+
+
+PARAMETERS = st.builds(
+    IntegerParameters, st.integers(1, 10**6), st.integers(1, 10**6), st.integers(0, 50)
+)
+# the urn_slots slot each recorded urn name is drawn from, per experiment
+DRAWN_SLOT = {1: {"A": 1, "R": 2, "B": 3}, 2: {"A": 0}}
+
+
+class TestLowStates:
+    """States 0 and 1 follow the one rule of urn_slots: a slot with no
+    urn draws nothing and counts as red."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ip=PARAMETERS,
+        m=st.integers(0, 40),
+        experiment=st.sampled_from((1, 2)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_one_generator_draw_per_recorded_draw(self, ip, m, experiment, seed):
+        gen, twin = RngStream(seed).generator(), RngStream(seed).generator()
+        step = experiment1_step if experiment == 1 else experiment2_step
+        outcome = step(ip, m, gen)
+        slots = urn_slots(ip, m)
+        for name, _ in outcome.draws:
+            twin.integers(slots[DRAWN_SLOT[experiment][name]][1])
+        assert gen.bit_generator.state == twin.bit_generator.state
+        assert len(outcome.draws) == (min(m, 2) if experiment == 1 else 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ip=PARAMETERS, m=st.integers(0, 40))
+    def test_death_law_and_urns_follow_the_slots(self, ip, m):
+        c = lu_coefficients_integer(ip, m)
+        weights = [(m - 2, c.t[m]), (m - 1, c.r[m]), (m, c.s[m])]
+        law = enumerate_step_distribution(ip, m, 1)
+        assert list(law.items()) == [(end, p) for end, p in weights if p]
+        assert len(experiment1_urns(ip, m)) == (0, 1, 3)[min(m, 2)]
 
 
 # (state after experiment 1, its draws, state after experiment 2, its
