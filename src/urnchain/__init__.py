@@ -45,14 +45,11 @@ from .urns import (
     RngStream,
     StepOutcome,
     Trajectory,
-    Urn,
     composite_distribution,
     composite_step,
     enumerate_step_distribution,
     experiment1_step,
-    experiment1_urns,
     experiment2_step,
-    experiment2_urn,
     run_trajectory,
     sample_endpoints,
 )
@@ -75,7 +72,6 @@ __all__ = [
     "StepOutcome",
     "Trajectory",
     "TransitionRow",
-    "Urn",
     "birth_factor",
     "chi_square_statistic",
     "chi_square_threshold",
@@ -85,9 +81,7 @@ __all__ = [
     "enumerate_step_distribution",
     "evaluate_polynomials",
     "experiment1_step",
-    "experiment1_urns",
     "experiment2_step",
-    "experiment2_urn",
     "lu_coefficients",
     "lu_coefficients_integer",
     "multiply",

@@ -206,10 +206,10 @@ def _worst(deviations: Iterable[Scalar]) -> Scalar:
     which would let a NaN coefficient pass."""
     worst = 0
     for deviation in deviations:
-        if deviation > worst:
+        if not deviation <= worst:
+            if deviation != deviation:  # NaN compares false both ways
+                return deviation
             worst = deviation
-        elif deviation != deviation:  # NaN compares false both ways
-            return deviation
     return worst
 
 

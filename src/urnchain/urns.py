@@ -14,10 +14,9 @@ with no urn draws nothing and counts as red.  That one rule makes state
 
 Every draw is an integer draw against the exact ball counts, never a
 floating-point probability; the exact enumeration oracle walks the same
-draw tree with Fraction branch weights.  :func:`experiment2_urn`
-and :func:`experiment1_urns` name the slots of ``urn_slots`` as urns,
-and the vectorized sampler copies the same slots into one int64 table
-of the states its lanes draw from (about 64 bytes per state).
+draw tree with Fraction branch weights, and the vectorized sampler
+copies the same slots into one int64 table of the states its lanes draw
+from (about 64 bytes per state).
 That sampler is the only one the CLI runs: ``simulate --aggregate`` and
 ``compare`` keep each lane's last state, trajectory mode every
 sub-state, so a trajectory depends on (seed, trials) as the counts do.
@@ -31,6 +30,7 @@ first draw.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -57,25 +57,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # experiment 1's first urn and the urns of its second draw after a red
 # and after a blue
 _SLOT_NAMES = ("A", "A", "R", "B")
-
-
-@dataclass(frozen=True)
-class Urn:
-    """One urn's exact composition at draw time."""
-
-    name: str
-    blue: int
-    red: int
-
-    def __post_init__(self) -> None:
-        if self.blue < 0 or self.red < 0:
-            raise ValueError(f"urn {self.name} has negative counts ({self.blue}, {self.red})")
-        if self.blue + self.red < 1:
-            raise ValueError(f"urn {self.name} is empty at draw time")
-
-    @property
-    def total(self) -> int:
-        return self.blue + self.red
 
 
 @dataclass(frozen=True)
@@ -120,24 +101,6 @@ class Trajectory:
 
     def final_state(self) -> int:
         return self.states[-1][1] if self.states else self.initial_state
-
-
-def _urn(name: str, slot: tuple[int, int]) -> Urn:
-    blue, total = slot
-    return Urn(name, blue, total - blue)
-
-
-def experiment2_urn(ip: IntegerParameters, m: int) -> Urn:
-    """Urn A prepared for one pure-birth step from state m."""
-    return _urn("A", urn_slots(ip, m)[0])
-
-
-def experiment1_urns(ip: IntegerParameters, m: int) -> tuple[Urn, ...]:
-    """Urns prepared for one pure-death step from state m: those of A,
-    B and R that hold an urn, so none at the absorbing state 0 and A
-    alone at state 1."""
-    slots = urn_slots(ip, m)
-    return tuple(_urn(_SLOT_NAMES[k], slots[k]) for k in (1, 3, 2) if slots[k] != _NO_URN)
 
 
 def _int64_total(name: str, total: int, m: int) -> int:
@@ -317,9 +280,9 @@ def _walk(
 ) -> list:
     """Run the trials in chunks of at most CHUNK_TRIALS lanes, chunk i
     drawing from ``RngStream(seed, stream_offset + i)`` on up to
-    ``threads`` threads, and return ``collect(i, lanes)`` per chunk in
-    chunk order.  ``lanes`` yields the chunk's lane states: the start,
-    then the states after each sub-step."""
+    ``threads`` threads, no more than chunks or CPUs, and return
+    ``collect(i, lanes)`` per chunk in chunk order.  ``lanes`` yields the
+    chunk's lane states: the start, then the states after each sub-step."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
     if trials < 0:
@@ -328,6 +291,10 @@ def _walk(
         raise ValueError(f"steps must be >= 0 (got {steps})")
     if initial_state < 0:
         raise ValueError(f"initial_state must be >= 0 (got {initial_state})")
+    if trials > 0 and initial_state > _INT64_MAX:  # lanes hold int64 states
+        raise ParameterError(
+            f"start state {initial_state} is above the int64 limit 2**63 - 1 = {_INT64_MAX}"
+        )
     # built only when some lane draws, so a drawless call never raises
     table = _urn_table(ip, initial_state, steps, experiment) if trials > 0 and steps > 0 else None
     parts = (1, 2) if experiment == COMPOSITE else (experiment,)
@@ -346,8 +313,11 @@ def _walk(
         return collect(index, lanes(index))
 
     chunks = range(-(-trials // CHUNK_TRIALS))
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # map submits every chunk at once, and each submit starts a thread
+    # while fewer than max_workers run
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, chunks))
     return [run(index) for index in chunks]
 

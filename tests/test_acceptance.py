@@ -24,9 +24,10 @@ from urnchain.coefficients import (
     lu_coefficients,
     lu_coefficients_integer,
     reconstruct_row,
+    urn_slots,
     validate_parameters,
 )
-from urnchain.urns import COMPOSITE, enumerate_step_distribution, experiment1_urns, sample_endpoints
+from urnchain.urns import COMPOSITE, enumerate_step_distribution, sample_endpoints
 
 F = Fraction
 
@@ -120,10 +121,10 @@ def test_criterion_4_urn_mechanics_oracle():
 
 def test_criterion_5_worked_example_lock_in():
     with criterion(5, "worked example (M=2, N=3, gamma=1) at m=2: urns, law, and d_2"):
-        urn_a, urn_b, urn_r = experiment1_urns(WORKED, 2)
-        assert (urn_a.blue, urn_a.red) == (2, 9)
-        assert (urn_b.blue, urn_b.red) == (7, 20)
-        assert (urn_r.blue, urn_r.red) == (3, 13)
+        urn_a, urn_r, urn_b = urn_slots(WORKED, 2)[1:]  # (blue, total)
+        assert urn_a == (2, 11)
+        assert urn_r == (3, 16)
+        assert urn_b == (7, 27)
         law = enumerate_step_distribution(WORKED, 2, 1)
         assert law == {0: F(14, 297), 1: F(1369, 4752), 2: F(117, 176)}
         assert sum(law.values()) == 1

@@ -1088,6 +1088,30 @@ class TestSimulate:
         # the single step draws at state 21 only
         assert "urn B at state 21 " in err and "int64 limit 2**63 - 1" in err
 
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    @pytest.mark.parametrize("aggregate", [["--aggregate"], []])
+    def test_start_state_above_int64_limit_exits_two(self, capsys, aggregate, steps):
+        common = ("simulate", "--M", "1", "--N", "1", "--gamma", "0", "--steps", steps)
+        code, out, err = run_cli(
+            capsys, *common, "--initial", str(2**63), "--trials", "2", *aggregate
+        )
+        assert code == 2 and out == ""
+        assert f"start state {2**63} " in err and "int64 limit 2**63 - 1" in err
+        # no lane, no state to hold
+        code, out, err = run_cli(
+            capsys, *common, "--initial", str(2**63), "--trials", "0", *aggregate
+        )
+        assert code == 0 and err == ""
+        if steps == "0":
+            code, out, err = run_cli(
+                capsys, *common, "--initial", str(2**63 - 1), "--trials", "2", *aggregate
+            )
+            assert code == 0 and err == ""
+            assert out == (
+                f"state,count\n{2**63 - 1},2\n" if aggregate
+                else f"trial,step,sub_step,state\n0,0,0,{2**63 - 1}\n1,0,0,{2**63 - 1}\n"
+            )
+
     @pytest.mark.parametrize("aggregate", [["--aggregate"], []])
     def test_undrawn_urn_above_int64_limit_is_not_checked(self, capsys, aggregate):
         # urn A at the end state 1 would hold 3 N + 1 > 2**63 - 1 balls,

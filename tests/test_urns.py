@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from urnchain import urns
 from urnchain.coefficients import (
+    _NO_URN,
     IntegerParameters,
     ParameterError,
     lu_coefficients_integer,
@@ -13,6 +15,7 @@ from urnchain.coefficients import (
     urn_slots,
 )
 from urnchain.urns import (
+    CHUNK_TRIALS,
     COMPOSITE,
     EXPERIMENTS,
     RngStream,
@@ -22,9 +25,7 @@ from urnchain.urns import (
     composite_step,
     enumerate_step_distribution,
     experiment1_step,
-    experiment1_urns,
     experiment2_step,
-    experiment2_urn,
     run_trajectory,
     sample_endpoints,
 )
@@ -34,24 +35,24 @@ IP = IntegerParameters(2, 3, 1)
 
 
 class TestUrnCompositions:
+    """The (blue, total) slots of urn_slots: experiment 2's A, then
+    experiment 1's A, R and B."""
+
     def test_worked_example_state_two(self):
-        urn_a, urn_b, urn_r = experiment1_urns(IP, 2)
-        assert (urn_a.blue, urn_a.red) == (2, 9)
-        assert (urn_b.blue, urn_b.red) == (7, 20)
-        assert (urn_r.blue, urn_r.red) == (3, 13)
+        urn_a, urn_r, urn_b = urn_slots(IP, 2)[1:]
+        assert urn_a == (2, 11)
+        assert urn_r == (3, 16)
+        assert urn_b == (7, 27)
 
     def test_state_one_single_urn(self):
-        (urn,) = experiment1_urns(IntegerParameters(1, 1, 0), 1)
-        assert (urn.blue, urn.red) == (1, 3)
+        assert urn_slots(IntegerParameters(1, 1, 0), 1)[1:] == ((1, 4), _NO_URN, _NO_URN)
 
     def test_absorbing_state_prepares_nothing(self):
-        assert experiment1_urns(IP, 0) == ()
+        assert urn_slots(IP, 0)[1:] == (_NO_URN,) * 3
 
     def test_birth_urn_even_and_odd(self):
-        urn = experiment2_urn(IP, 0)
-        assert (urn.blue, urn.red) == (4, 3)
-        urn = experiment2_urn(IntegerParameters(1, 1, 0), 1)
-        assert (urn.blue, urn.red) == (2, 2)
+        assert urn_slots(IP, 0)[0] == (4, 7)
+        assert urn_slots(IntegerParameters(1, 1, 0), 1)[0] == (2, 4)
 
     def test_counts_are_non_negative_across_grid(self):
         for M in (1, 2, 3, 5):
@@ -59,10 +60,26 @@ class TestUrnCompositions:
                 for gamma in (0, 1, 2):
                     ip = IntegerParameters(M, N, gamma)
                     for m in range(0, 40):
-                        for urn in experiment1_urns(ip, m):
-                            assert urn.blue >= 0 and urn.red >= 0 and urn.total >= 1
-                        urn = experiment2_urn(ip, m)
-                        assert urn.blue >= 0 and urn.red >= 0
+                        for blue, total in urn_slots(ip, m):
+                            assert 0 <= blue <= total and total >= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ip=st.builds(
+            IntegerParameters, st.integers(1, 2**31), st.integers(1, 2**31), st.integers(0, 10)
+        ),
+        m=st.integers(0, 10**6),
+    )
+    @example(IntegerParameters(1, 1, 0), 0)
+    @example(IntegerParameters(1, 1, 0), 1)
+    @example(IntegerParameters(2**31, 1, 0), 2)
+    @example(IntegerParameters(1, 2**31, 0), 3)
+    def test_every_slot_is_an_urn_or_no_urn(self, ip, m):
+        slots = urn_slots(ip, m)
+        for blue, total in slots:
+            assert 0 <= blue <= total and total >= 1
+        no_urn = [k for k, slot in enumerate(slots) if slot == _NO_URN]
+        assert no_urn == {0: [1, 2, 3], 1: [2, 3]}.get(m, [])
 
 
 class TestEnumeration:
@@ -180,7 +197,8 @@ class TestLowStates:
         weights = [(m - 2, c.t[m]), (m - 1, c.r[m]), (m, c.s[m])]
         law = enumerate_step_distribution(ip, m, 1)
         assert list(law.items()) == [(end, p) for end, p in weights if p]
-        assert len(experiment1_urns(ip, m)) == (0, 1, 3)[min(m, 2)]
+        held = [slot for slot in urn_slots(ip, m)[1:] if slot != _NO_URN]
+        assert len(held) == (0, 1, 3)[min(m, 2)]
 
 
 # (state after experiment 1, its draws, state after experiment 2, its
@@ -255,6 +273,35 @@ class TestBatchSampling:
         pooled = sample_endpoints(IP, 2, COMPOSITE, 100000, 42, threads=8)
         assert single == pooled
 
+    @pytest.mark.parametrize(
+        "threads, trials, cpus, workers",
+        [(5000, 10 * CHUNK_TRIALS, 2, 2), (5000, 3 * CHUNK_TRIALS, 64, 3), (2, 10**4, 8, None),
+         (3, 10 * CHUNK_TRIALS, None, None), (1, 10 * CHUNK_TRIALS, 8, None)],
+    )
+    def test_pool_threads_are_capped(self, monkeypatch, threads, trials, cpus, workers):
+        # min(threads, chunks, CPUs) workers, and no pool below two;
+        # the fake maps serially, so no thread starts
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(urns, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(urns.os, "cpu_count", lambda: cpus)
+        counts = sample_endpoints(IP, 2, COMPOSITE, trials, 42, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        assert counts == sample_endpoints(IP, 2, COMPOSITE, trials, 42)
+
     def test_seed_changes_counts(self):
         assert sample_endpoints(IP, 2, COMPOSITE, 10000, 1) != sample_endpoints(
             IP, 2, COMPOSITE, 10000, 2
@@ -318,21 +365,18 @@ def drawn_states(initial: int, steps: int, experiment) -> tuple[set, set]:
 
 
 def table_urns(ip: IntegerParameters, m: int, death: set, birth: set) -> list:
-    """Scalar urns in table slot order (birth A, death A, R, B); None
-    where no lane draws."""
-    born = experiment2_urn(ip, m) if m in birth else None
-    dying = experiment1_urns(ip, m) if m in death else ()
-    a = dying[0] if dying else None
-    b, r = dying[1:] if len(dying) == 3 else (None, None)
-    return [born, a, r, b]
+    """The urn_slots of state m in table slot order (birth A, death A,
+    R, B); None where no lane draws."""
+    drawn = (m in birth, m in death, m in death, m in death)
+    return [slot if lane_draws else None for slot, lane_draws in zip(urn_slots(ip, m), drawn)]
 
 
 def too_large(ip: IntegerParameters, initial: int, steps: int, experiment) -> bool:
     death, birth = drawn_states(initial, steps, experiment)
     return any(
-        urn is not None and urn.total > INT64_MAX
+        slot is not None and slot[1] > INT64_MAX
         for m in death | birth
-        for urn in table_urns(ip, m, death, birth)
+        for slot in table_urns(ip, m, death, birth)
     )
 
 
@@ -355,8 +399,8 @@ class TestUrnTable:
         lo, (blue, total) = _urn_table(ip, initial, steps, experiment)
         assert lo == states.start and len(blue) == len(total) == 4 * len(states)
         for m in states:
-            for k, urn in enumerate(table_urns(ip, m, death, birth)):
-                want = (0, 1) if urn is None else (urn.blue, urn.total)
+            for k, slot in enumerate(table_urns(ip, m, death, birth)):
+                want = _NO_URN if slot is None else slot
                 assert (blue[4 * (m - lo) + k], total[4 * (m - lo) + k]) == want
 
     @settings(max_examples=100, deadline=None)
