@@ -26,6 +26,9 @@ ball-level reference with a draw record.  Each draw is one
 more than 2**63 - 1 balls raises :class:`ParameterError`; the vectorized
 sampler checks every urn a lane can draw from, and no other, before its
 first draw.
+
+numpy is imported at the first draw, not with this module, so the
+commands that draw nothing start without it.
 """
 
 from __future__ import annotations
@@ -33,13 +36,14 @@ from __future__ import annotations
 import os
 from collections import Counter
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coefficients import _NO_URN, IntegerParameters, ParameterError, urn_slots
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLUE = "blue"
 RED = "red"
@@ -51,7 +55,7 @@ EXPERIMENTS = (1, 2, COMPOSITE)
 # only, never on thread count
 CHUNK_TRIALS = 1 << 14
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 
 # urn names of the four slots of urn_slots: experiment 2's, then
 # experiment 1's first urn and the urns of its second draw after a red
@@ -75,6 +79,8 @@ class RngStream:
             raise ValueError(f"stream_id must be >= 0 (got {self.stream_id})")
 
     def generator(self) -> np.random.Generator:
+        import numpy as np
+
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(seq)
 
@@ -226,6 +232,8 @@ def _urn_table(
     reaches only for the other) hold the dummy (0, 1), always red, which
     ``urn_slots`` itself returns where a state has no urn.
     """
+    import numpy as np
+
     # before step k (1-based) a lane is at most 2(k - 1) below its start,
     # and k - 1 above it in the composite chain, where experiment 2 draws
     # after experiment 1 has lowered the state by up to two more
@@ -267,6 +275,15 @@ def _advance(
     return states - first_blue - second_blue
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one (a cpuset can deny some of ``os.cpu_count()``),
+    else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _walk(
     ip: IntegerParameters,
     initial_state: int,
@@ -280,9 +297,12 @@ def _walk(
 ) -> list:
     """Run the trials in chunks of at most CHUNK_TRIALS lanes, chunk i
     drawing from ``RngStream(seed, stream_offset + i)`` on up to
-    ``threads`` threads, no more than chunks or CPUs, and return
+    ``threads`` threads, no more than chunks or usable CPUs, and return
     ``collect(i, lanes)`` per chunk in chunk order.  ``lanes`` yields the
     chunk's lane states: the start, then the states after each sub-step."""
+    # imported here, before any pool thread starts; ``lanes`` reads it
+    import numpy as np
+
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
     if trials < 0:
@@ -315,8 +335,10 @@ def _walk(
     chunks = range(-(-trials // CHUNK_TRIALS))
     # map submits every chunk at once, and each submit starts a thread
     # while fewer than max_workers run
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    workers = min(threads, len(chunks), _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, chunks))
     return [run(index) for index in chunks]
@@ -351,6 +373,8 @@ def sample_endpoints(
     """
 
     def count(_: int, lanes: Iterator[np.ndarray]) -> Counter:
+        import numpy as np
+
         for states in lanes:
             pass
         values, counts = np.unique(states, return_counts=True)
@@ -378,6 +402,8 @@ def _sample_paths(
     int64 array: the start, then the state after each sub-step (two per
     composite step, experiment 1 then 2).  Same chunks and streams as
     :func:`sample_endpoints`, whose counts are the last column's."""
+    import numpy as np
+
     sub_steps = 2 if experiment == COMPOSITE else 1
     paths = np.empty((trials, 1 + steps * sub_steps), dtype=np.int64)
 

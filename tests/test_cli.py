@@ -810,19 +810,46 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def run_python(*argv) -> subprocess.CompletedProcess:
+def run_python(*argv, text: bool = True) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports urnchain from this checkout."""
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, check=False, env=env
+        [sys.executable, *argv], capture_output=True, text=text, check=False, env=env
     )
 
 
-def assert_no_scipy(modules: list[str]) -> None:
-    # importing scipy.stats took about a second of every cold start
+def imported_modules(importtime_stderr: str) -> list[str]:
+    """The modules named in ``-X importtime`` output, whose lines end
+    "| <module>"."""
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_stderr.splitlines() if line.startswith("import time:")
+    ]
+
+
+def heavy_packages(modules: list[str]) -> set[str]:
+    # importing scipy.stats took about a second of every cold start, and
+    # numpy about half of the rest; only the urn samplers need numpy
     assert "urnchain" in modules
-    assert [name for name in modules if name.split(".")[0] == "scipy"] == []
+    return {name.split(".")[0] for name in modules} & {"numpy", "scipy"}
+
+
+def assert_no_numpy_or_scipy(modules: list[str]) -> None:
+    assert heavy_packages(modules) == set()
+
+
+# one small run of each command that draws no urn; none may need numpy
+ALGEBRA_COMMANDS = {
+    "coeffs": ["coeffs", "--M", "2", "--N", "3", "--gamma", "1", "--n-max", "6"],
+    "coeffs_float_json": [
+        "coeffs", "--alpha", "0.5", "--beta", "0.3", "--gamma", "1", "--format", "json",
+    ],
+    "verify_exact": ["verify", "--M", "2", "--N", "3", "--gamma", "1", "--T", "40"],
+    "verify_float": ["verify", "--alpha", "0.5", "--beta", "0.3", "--gamma", "1", "--T", "40"],
+    "poly": ["poly", "--M", "2", "--N", "3", "--gamma", "1", "--x", "3/4", "--x", "2"],
+    "graph": ["graph", "--M", "2", "--N", "3", "--gamma", "1", "--which", "PL"],
+}
 
 
 def parse_strict_json(text: str):
@@ -1390,16 +1417,45 @@ class TestEntryPoint:
         )
         assert result.returncode == 2
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_numpy_or_scipy(self):
         result = run_python("-c", "import sys, urnchain; print(*sys.modules)")
         assert result.returncode == 0, result.stderr
-        assert_no_scipy(result.stdout.split())
+        assert_no_numpy_or_scipy(result.stdout.split())
 
-    def test_help_loads_no_scipy(self):
+    def test_help_loads_no_numpy_or_scipy(self):
         result = run_python("-X", "importtime", "-m", "urnchain", "--help")
         assert result.returncode == 0 and result.stdout.startswith("usage: urnchain")
-        # each -X importtime line ends "| <module>"
-        assert_no_scipy([
-            line.rsplit("|", 1)[1].strip()
-            for line in result.stderr.splitlines() if line.startswith("import time:")
-        ])
+        assert_no_numpy_or_scipy(imported_modules(result.stderr))
+
+    @pytest.mark.parametrize("name", ALGEBRA_COMMANDS)
+    def test_algebra_command_loads_no_numpy_or_scipy(self, name):
+        result = run_python("-X", "importtime", "-m", "urnchain", *ALGEBRA_COMMANDS[name])
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout
+        assert_no_numpy_or_scipy(imported_modules(result.stderr))
+
+    @pytest.mark.parametrize("name", ALGEBRA_COMMANDS)
+    def test_algebra_command_runs_without_numpy(self, name):
+        # None in sys.modules makes every import of numpy raise ImportError
+        argv = ALGEBRA_COMMANDS[name]
+        blocked = run_python(
+            "-c",
+            "import sys; sys.modules['numpy'] = None\n"
+            "from urnchain.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv,
+            text=False,
+        )
+        normal = run_python("-m", "urnchain", *argv, text=False)
+        assert (blocked.returncode, blocked.stderr) == (0, b"")
+        assert normal.returncode == 0 and normal.stdout
+        assert blocked.stdout == normal.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "4", "--trials", "5"],
+        ["compare", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "4", "--trials", "500"],
+    ], ids=["simulate", "compare"])
+    def test_sampler_command_loads_numpy(self, argv):
+        # the guard above is not vacuous: the urn samplers still import it
+        result = run_python("-X", "importtime", "-m", "urnchain", *argv)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert heavy_packages(imported_modules(result.stderr)) == {"numpy"}

@@ -1,3 +1,4 @@
+import concurrent.futures
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,29 @@ class TestTrajectories:
                 assert after_death >= 0 and after_birth >= 0
 
 
+def serial_pool(monkeypatch) -> list:
+    """Swap the sampler's thread pool for one that maps serially, so no
+    thread starts, and return the list its max_workers are appended to."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    # the sampler imports the pool class from the package when it starts one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    return started
+
+
 class TestBatchSampling:
     def test_counts_sum_to_trials(self):
         counts = sample_endpoints(IP, 3, COMPOSITE, 12345, 42)
@@ -279,28 +303,23 @@ class TestBatchSampling:
          (3, 10 * CHUNK_TRIALS, None, None), (1, 10 * CHUNK_TRIALS, 8, None)],
     )
     def test_pool_threads_are_capped(self, monkeypatch, threads, trials, cpus, workers):
-        # min(threads, chunks, CPUs) workers, and no pool below two;
-        # the fake maps serially, so no thread starts
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(urns, "ThreadPoolExecutor", SerialPool)
+        # min(threads, chunks, CPUs) workers, and no pool below two; on a
+        # platform without an affinity set the CPUs are os.cpu_count()
+        monkeypatch.delattr(urns.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(urns.os, "cpu_count", lambda: cpus)
+        started = serial_pool(monkeypatch)
         counts = sample_endpoints(IP, 2, COMPOSITE, trials, 42, threads=threads)
         assert started == ([] if workers is None else [workers])
         assert counts == sample_endpoints(IP, 2, COMPOSITE, trials, 42)
+
+    def test_pool_threads_are_capped_at_the_affinity_set(self, monkeypatch):
+        # a cpuset that allows 3 of 64 CPUs caps the pool at 3
+        monkeypatch.setattr(urns.os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        monkeypatch.setattr(urns.os, "cpu_count", lambda: 64)
+        started = serial_pool(monkeypatch)
+        counts = sample_endpoints(IP, 2, COMPOSITE, 10 * CHUNK_TRIALS, 42, threads=5000)
+        assert started == [3]
+        assert counts == sample_endpoints(IP, 2, COMPOSITE, 10 * CHUNK_TRIALS, 42)
 
     def test_seed_changes_counts(self):
         assert sample_endpoints(IP, 2, COMPOSITE, 10000, 1) != sample_endpoints(
