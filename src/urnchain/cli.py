@@ -80,35 +80,72 @@ _ROWS_MARKER = "\0urnchain rows\0"
 # one table row as its object's lines at depth 2 of an indent=2 dump,
 # braces included; indent=None keeps json's C encoder
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), sort_keys=True, allow_nan=False)
+# between two row objects at depth 1 of an indent=2 dump
+_ROW_SEPARATOR = ",\n    "
+# rows per piece of an int table's text, whatever its row count
+_PIECE_ROWS = 2048
 
 
-def _json_chunks(payload: dict, key=None, header=(), rows=()) -> Iterable[str]:
-    """The text of :func:`_dumps` of ``payload`` with ``rows`` under
-    ``key`` as one object each (``header`` names their fields), in
-    pieces: the envelope is encoded before this returns, each row only
-    when the iterator reaches it, so memory does not grow with the
-    row count.  Rows hold scalars only."""
+class _IntTable:
+    """A table of ints alone (no bool: JSON writes true), in pieces of
+    at most :data:`_PIECE_ROWS` rows, each one sequence per column."""
+
+    def __init__(self, pieces: Iterable[tuple]):
+        self.pieces = pieces
+
+
+def _json_chunks(payload: dict, key=None, objects=()) -> Iterable[str]:
+    """The text of :func:`_dumps` of ``payload`` with a list of row
+    objects under ``key``, in pieces: ``objects`` is their text, each
+    piece one or more of them joined by :data:`_ROW_SEPARATOR` (see
+    :func:`_json_rows` and :func:`_int_rows`).  The envelope is encoded
+    before this returns, each row only when the iterator reaches it, so
+    memory does not grow with the row count."""
     if key is None:
         return [_dumps(payload)]
     head, *tail = _dumps({**payload, key: _ROWS_MARKER}).split(json.dumps(_ROWS_MARKER))
     if len(tail) != 1:
         raise ValueError(f"{_ROWS_MARKER!r} is a reserved JSON value")
-    return itertools.chain([head], _json_rows(header, rows), tail)
+    return itertools.chain([head], _json_array(objects), tail)
+
+
+def _json_array(objects) -> Iterator[str]:
+    """The list of row objects as the value of a top-level key."""
+    opening = "[\n    "
+    for text in objects:
+        yield opening + text
+        opening = _ROW_SEPARATOR
+    yield "[]" if opening[0] == "[" else "\n  ]"
 
 
 def _json_rows(header, rows) -> Iterator[str]:
-    """The list of row objects as the value of a top-level key."""
-    opening = "[\n    {\n      "
+    """Each row's object text, its cells encoded one by one; rows hold
+    scalars only."""
     for row in rows:
-        yield f"{opening}{_ROW_ENCODER.encode(dict(zip(header, row)))[1:-1]}\n    }}"
-        opening = ",\n    {\n      "
-    yield "[]" if opening[0] == "[" else "\n  ]"
+        yield f"{{\n      {_ROW_ENCODER.encode(dict(zip(header, row)))[1:-1]}\n    }}"
+
+
+def _int_rows(fmt: str, header, pieces) -> Iterator[str]:
+    """Each piece of an int table as one text: CSV lines, or row objects
+    joined for :func:`_json_chunks`.  The str() of an int is its CSV and
+    its JSON text, so a row is one ``str.format`` of a template built
+    once from ``header``, JSON keys sorted as ``sort_keys`` sorts them."""
+    if fmt == "json":
+        fields = ",\n      ".join(
+            json.dumps(header[i]).replace("{", "{{").replace("}", "}}") + f": {{{i}}}"
+            for i in sorted(range(len(header)), key=header.__getitem__)
+        )
+        template, separator = f"{{{{\n      {fields}\n    }}}}", _ROW_SEPARATOR
+    else:
+        template, separator = ",".join(f"{{{i}}}" for i in range(len(header))) + "\n", ""
+    for columns in pieces:
+        yield separator.join(map(template.format, *columns))
 
 
 def _emit_json(command: str, params, output: str | None, table=(), /, **fields) -> None:
     """Write the one JSON envelope: schema, command and parameters
     beside the command's own ``fields``, keys sorted.  A ``table``,
-    ``(key, header, rows)``, is written under ``key`` row by row (see
+    ``(key, objects)``, is written under ``key`` piece by piece (see
     :func:`_json_chunks`)."""
     payload = {"schema": SCHEMA, "command": command, "parameters": _parameters_payload(params)}
     payload.update(fields)
@@ -118,19 +155,25 @@ def _emit_json(command: str, params, output: str | None, table=(), /, **fields) 
 
 
 def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
-    """Write one table row by row: CSV under a header row, or JSON
-    objects under ``key`` beside ``meta``.  Rows hold None, bool, int,
+    """Write one table as its rows arrive: CSV under a header row, or
+    JSON objects under ``key`` beside ``meta``.  An :class:`_IntTable`
+    is written a piece at a time from a row template (:func:`_int_rows`),
+    any other ``rows`` one cell at a time.  Cells are None, bool, int,
     float and str only, and every float cell is finite (see
-    :func:`_exact`; trajectory rows are ints), so nothing can raise
-    once the first byte is written: a failing table leaves stdout
-    empty in either format."""
+    :func:`_exact`), so nothing can raise once the first byte is
+    written: a failing table leaves stdout empty in either format."""
+    ints = isinstance(rows, _IntTable)
     if args.format == "json":
-        _emit_json(command, params, args.output, (key, header, rows), **meta)
+        objects = _int_rows("json", header, rows.pieces) if ints else _json_rows(header, rows)
+        _emit_json(command, params, args.output, (key, objects), **meta)
         return 0
     with _output(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_cell(value) for value in row] for row in rows)
+        if ints:
+            handle.writelines(_int_rows("csv", header, rows.pieces))
+        else:
+            writer.writerows([_cell(value) for value in row] for row in rows)
     return 0
 
 
@@ -251,12 +294,25 @@ def cmd_simulate(args) -> int:
     )
     sub_steps = (1, 2) if experiment == urns.COMPOSITE else (1,)
     labels = [(0, 0)] + [(step, sub) for step in range(1, args.steps + 1) for sub in sub_steps]
-    rows = (
-        (trial, step, sub, state)
-        for trial, path in enumerate(paths)
-        for (step, sub), state in zip(labels, path.tolist())
+    return _emit_table(
+        args, ip, "simulate", ["trial", "step", "sub_step", "state"],
+        _IntTable(_path_pieces(paths, labels)), **meta,
     )
-    return _emit_table(args, ip, "simulate", ["trial", "step", "sub_step", "state"], rows, **meta)
+
+
+def _path_pieces(paths, labels) -> Iterator[tuple]:
+    """The trajectory table, one row per path entry in trial order, as
+    pieces of :data:`_PIECE_ROWS` rows: the trial, the entry's (step,
+    sub_step) label and the state, each column a list of ints."""
+    import numpy as np
+
+    steps, subs = np.array(labels).T
+    states = paths.reshape(-1)
+    for start in range(0, states.size, _PIECE_ROWS):
+        stop = min(start + _PIECE_ROWS, states.size)
+        trial, label = np.divmod(np.arange(start, stop), len(labels))
+        columns = trial, steps[label], subs[label], states[start:stop]
+        yield tuple(column.tolist() for column in columns)
 
 
 def cmd_compare(args) -> int:

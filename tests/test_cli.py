@@ -15,7 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from urnchain import analysis
-from urnchain.cli import _ROWS_MARKER, _json_chunks, main
+from urnchain.cli import (
+    _ROWS_MARKER, _cell, _int_rows, _json_chunks, _json_rows, _path_pieces, main,
+)
 from urnchain.coefficients import (
     IntegerParameters,
     lu_coefficients,
@@ -23,7 +25,7 @@ from urnchain.coefficients import (
     Parameters,
     reconstruct_row,
 )
-from urnchain.urns import CHUNK_TRIALS, COMPOSITE, sample_endpoints
+from urnchain.urns import CHUNK_TRIALS, COMPOSITE, _sample_paths, sample_endpoints
 
 F = Fraction
 
@@ -739,6 +741,117 @@ PINNED_JSON = {
 }
 
 
+# simulate trajectory stdout per case (the flags after simulate --M 2 --N 3
+# --gamma 1 --seed 2024), recorded while every cell was still encoded
+# one by one: experiments 1 and 2 beside PINNED_JSON's experiment 1 and
+# no-trials cases, a start at the int64 limit with no step, and a CSV
+# with no trial
+PINNED_TRAJECTORY_TABLES = {
+    "experiment-1-csv": (
+        ("--experiment", "1", "--initial", "4", "--steps", "3", "--trials", "2"), """\
+trial,step,sub_step,state
+0,0,0,4
+0,1,1,3
+0,2,1,3
+0,3,1,2
+1,0,0,4
+1,1,1,4
+1,2,1,3
+1,3,1,2
+"""),
+    "experiment-2-csv": (
+        ("--experiment", "2", "--initial", "4", "--steps", "3", "--trials", "2"), """\
+trial,step,sub_step,state
+0,0,0,4
+0,1,1,4
+0,2,1,5
+0,3,1,6
+1,0,0,4
+1,1,1,4
+1,2,1,5
+1,3,1,6
+"""),
+    "experiment-2-json": ((
+        "--experiment", "2", "--initial", "4", "--steps", "1", "--trials", "2", *JSON,
+    ), """\
+{
+  "command": "simulate",
+  "experiment": "2",
+  "initial": 4,
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [
+    {
+      "state": 4,
+      "step": 0,
+      "sub_step": 0,
+      "trial": 0
+    },
+    {
+      "state": 4,
+      "step": 1,
+      "sub_step": 1,
+      "trial": 0
+    },
+    {
+      "state": 4,
+      "step": 0,
+      "sub_step": 0,
+      "trial": 1
+    },
+    {
+      "state": 4,
+      "step": 1,
+      "sub_step": 1,
+      "trial": 1
+    }
+  ],
+  "schema": "1",
+  "seed": 2024,
+  "steps": 1,
+  "trials": 2
+}
+"""),
+    "steps-0-json": (("--initial", str(2**63 - 1), "--steps", "0", "--trials", "2", *JSON), """\
+{
+  "command": "simulate",
+  "experiment": "composite",
+  "initial": 9223372036854775807,
+  "parameters": {
+    "M": 2,
+    "N": 3,
+    "form": "integer",
+    "gamma": 1
+  },
+  "rows": [
+    {
+      "state": 9223372036854775807,
+      "step": 0,
+      "sub_step": 0,
+      "trial": 0
+    },
+    {
+      "state": 9223372036854775807,
+      "step": 0,
+      "sub_step": 0,
+      "trial": 1
+    }
+  ],
+  "schema": "1",
+  "seed": 2024,
+  "steps": 0,
+  "trials": 2
+}
+"""),
+    "trials-0-csv": (("--initial", "4", "--steps", "3", "--trials", "0"), """\
+trial,step,sub_step,state
+"""),
+}
+
 # compare stdout per format, recorded while compare still read each
 # start's law from the coefficient rows 0..max(--initial): states 5000
 # and 200000 lie far above the bench's, and at state 2 a law summed in
@@ -1105,6 +1218,32 @@ class TestSimulate:
         assert code == 0
         assert out == PINNED_TRAJECTORY
 
+    @pytest.mark.parametrize("piece_rows", [1, 5, 2048])
+    def test_trajectory_pieces_follow_the_paths(self, monkeypatch, piece_rows):
+        # the rows as trajectory mode once enumerated them are the
+        # reference; pieces of 5 rows split the 7-entry paths
+        monkeypatch.setattr("urnchain.cli._PIECE_ROWS", piece_rows)
+        paths = _sample_paths(IntegerParameters(2, 3, 1), 4, COMPOSITE, 5, 7, steps=3, threads=1)
+        labels = [(0, 0)] + [(step, sub) for step in range(1, 4) for sub in (1, 2)]
+        pieces = list(_path_pieces(paths, labels))
+        assert all(len(column) <= piece_rows for piece in pieces for column in piece)
+        rows = [row for piece in pieces for row in zip(*piece)]
+        assert rows == [
+            (trial, step, sub, state)
+            for trial, path in enumerate(paths)
+            for (step, sub), state in zip(labels, path.tolist())
+        ]
+        assert {type(cell) for row in rows for cell in row} == {int}
+
+    @pytest.mark.parametrize("case", list(PINNED_TRAJECTORY_TABLES))
+    def test_trajectory_table_is_pinned(self, tmp_path, capsys, case):
+        flags, expected = PINNED_TRAJECTORY_TABLES[case]
+        argv = ("simulate", *EXACT, "--seed", "2024", *flags)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+        path = tmp_path / "paths.txt"
+        assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == expected.encode()
+
     @pytest.mark.parametrize("aggregate", [["--aggregate"], []])
     def test_urn_above_int64_limit_exits_two(self, capsys, aggregate):
         code, out, err = run_cli(
@@ -1339,10 +1478,11 @@ class TestPinnedOutput:
 
 
 # table cells and field names as the CLI writes them: scalars only, with
-# strings that JSON must escape and one equal to the rows marker
-TRICKY_TEXT = st.sampled_from(
-    ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "über ∑ 🎲", _ROWS_MARKER]
-)
+# strings that JSON must escape, one that a str.format template must and
+# one equal to the rows marker
+TRICKY_TEXT = st.sampled_from([
+    'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "über ∑ 🎲", "{0} }{", _ROWS_MARKER,
+])
 CELLS = st.one_of(
     st.none(),
     st.booleans(),
@@ -1353,12 +1493,14 @@ CELLS = st.one_of(
     TRICKY_TEXT,
 )
 NAMES = st.text(max_size=6) | TRICKY_TEXT.filter(lambda name: name != _ROWS_MARKER)
+# the cells of an int table, as the trajectory table's int64 states hold them
+INTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
 @st.composite
-def json_tables(draw):
+def json_tables(draw, cells=CELLS):
     header = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
-    rows = draw(st.lists(st.tuples(*[CELLS] * len(header)), max_size=6))
+    rows = draw(st.lists(st.tuples(*[cells] * len(header)), max_size=6))
     key = draw(st.sampled_from(["rows", "counts"]))
     # meta keys on both sides of either table key in sorted order
     meta = draw(st.dictionaries(
@@ -1371,33 +1513,52 @@ def json_tables(draw):
 
 
 class TestJsonTable:
-    @given(json_tables())
-    def test_streamed_table_equals_one_dump(self, table):
+    @given(json_tables() | json_tables(INTS), st.integers(min_value=1, max_value=4))
+    def test_streamed_table_equals_one_dump(self, table, piece_rows):
         payload, key, header, rows = table
         expected = json.dumps(
             {**payload, key: [dict(zip(header, row)) for row in rows]},
             indent=2, sort_keys=True, allow_nan=False,
         ) + "\n"
-        assert "".join(_json_chunks(payload, key, header, iter(rows))) == expected
+        assert "".join(_json_chunks(payload, key, _json_rows(header, iter(rows)))) == expected
+        if any(type(cell) is not int for row in rows for cell in row):
+            return
+        # a table of ints alone also streams from its row templates, a
+        # piece of at most piece_rows rows at a time, each piece one
+        # sequence per column: the same JSON, and in CSV the rows that
+        # csv.writer writes
+        pieces = [list(zip(*rows[start:start + piece_rows]))
+                  for start in range(0, len(rows), piece_rows)]
+        objects = _int_rows("json", header, iter(pieces))
+        assert "".join(_json_chunks(payload, key, objects)) == expected
+        cells = io.StringIO()
+        csv.writer(cells, lineterminator="\n").writerows(
+            [_cell(value) for value in row] for row in rows
+        )
+        assert "".join(_int_rows("csv", header, iter(pieces))) == cells.getvalue()
 
     def test_marker_in_the_envelope_is_refused(self):
         with pytest.raises(ValueError, match="reserved"):
-            _json_chunks({"seed": _ROWS_MARKER}, "rows", ["n"], [(0,)])
+            _json_chunks({"seed": _ROWS_MARKER}, "rows", _json_rows(["n"], [(0,)]))
 
-    def test_memory_does_not_grow_with_the_row_count(self, tmp_path, capsys):
-        path = tmp_path / "paths.json"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_row_count(self, tmp_path, capsys, fmt):
+        import numpy  # noqa: F401  (loaded untraced: its import is no table's memory)
+
+        path = tmp_path / f"paths.{fmt}"
         tracemalloc.start()
         try:
             code = main([
                 "simulate", "--M", "7", "--N", "3", "--gamma", "2", "--initial", "20",
-                "--steps", "100", "--trials", "800", "--format", "json", "--output", str(path),
+                "--steps", "100", "--trials", "800", "--format", fmt, "--output", str(path),
             ])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (code, *capsys.readouterr()) == (0, "", "")
-        # 160800 rows, about 13.8 MB; one string of them peaked at 162 MiB
-        assert path.stat().st_size > 13_000_000
+        # 160800 rows, about 1.9 MB of CSV and 14.4 MB of JSON; one string
+        # of the JSON rows peaked at 162 MiB
+        assert path.stat().st_size > {"csv": 1_800_000, "json": 13_000_000}[fmt]
         assert peak < 4 << 20
 
 
