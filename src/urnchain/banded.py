@@ -213,6 +213,21 @@ def _worst(deviations: Iterable[Scalar]) -> Scalar:
     return worst
 
 
+_EXACT = (int, Fraction)
+
+
+def _sums_to_one(values: Iterable[Scalar]) -> bool:
+    """True when every value is an int or a Fraction and they add up to
+    exactly 1, decided by cross-multiplying numerators and denominators."""
+    numerator, denominator = 0, 1
+    for value in values:
+        if not isinstance(value, _EXACT):
+            return False
+        n, d = value.as_integer_ratio()
+        numerator, denominator = numerator * d + n * denominator, denominator * d
+    return numerator == denominator
+
+
 def verify_factorization(
     c: LUCoefficients, size: int, tolerance: float | None = None
 ) -> FactorizationReport:
@@ -231,14 +246,23 @@ def verify_factorization(
     ``tolerance`` defaults to 0 for exact coefficients and 1e-12 for
     float coefficients (entries are O(1) ratios and the products sum at
     most three terms, so no cancellation grows the error).
+
+    Unless the product is float, each check first settles an entry whose
+    values are ints or Fractions on their numerators and denominators
+    alone: equal ratios for the LU identity, a cross-multiplied sum of 1
+    for the row sums (both coefficient sums of an index together),
+    0 <= numerator <= denominator for the bounds.  Only an entry that
+    fails this test gets its ``Fraction`` deviation computed; the skipped
+    ones are at most 0 and cannot change a result.
     """
     lower = death_factor(c, size)
     upper = birth_factor(c, size)
     product = multiply(lower, upper)
     direct = reconstructed_matrix(c, size)
     kind = product.scalar_kind()
+    exact = kind != "float"  # a float product has no entry worth settling on integers
     if tolerance is None:
-        tolerance = 0.0 if kind in ("exact", "int") else 1e-12
+        tolerance = 0.0 if exact else 1e-12
 
     def bounded(name: str, deviations: Iterable[Scalar], detail: str) -> CheckResult:
         deviation = _worst(deviations)
@@ -258,23 +282,32 @@ def verify_factorization(
         bounded("coefficient_row_sums", (
             abs(dev)
             for xn, yn, tn, rn, sn in zip(x, y, t, r, s)
+            if not (exact and _sums_to_one((xn, yn)) and _sums_to_one((tn, rn, sn)))
             for dev in (xn + yn - 1, tn + rn + sn - 1)
         ), "x+y = 1 and t+r+s = 1"),
         bounded("coefficient_bounds", (
-            dev for seq in (x, y, t, r, s) for value in seq for dev in (-value, value - 1)
+            dev for seq in (x, y, t, r, s) for value in seq
+            if not (exact and isinstance(value, _EXACT)
+                    and 0 <= value.numerator <= value.denominator)
+            for dev in (-value, value - 1)
         ), "all coefficients within [0, 1]"),
         bounded("boundary_values", map(abs, boundary), "t_0 = t_1 = r_0 = 0 and s_0 = 1"),
         CheckResult(
             "band_structure", bands == (2, 1), 0.0, f"product bandwidths (lower, upper) = {bands}"
         ),
         bounded("factor_row_sums", (
-            abs(m.row_sum(i) - 1) for m in (lower, upper) for i in range(size) if m.is_interior(i)
+            abs(m.row_sum(i) - 1) for m in (lower, upper) for i in range(size)
+            if m.is_interior(i) and not (exact and _sums_to_one(m.rows[i]))
         ), "interior factor rows sum to 1"),
+        # ints and Fractions are in lowest terms: equal values have equal ratios
         bounded("lu_identity", (
             abs(p - d) for rows in row_pairs for p, d in zip(*rows)
+            if not (exact and isinstance(p, _EXACT) and isinstance(d, _EXACT)
+                    and p.as_integer_ratio() == d.as_integer_ratio())
         ), f"product vs direct{compared}"),
         bounded("product_row_sums", (
-            abs(product.row_sum(i) - 1) for i in range(size) if product.is_interior(i)
+            abs(product.row_sum(i) - 1) for i in range(size)
+            if product.is_interior(i) and not (exact and _sums_to_one(product.rows[i]))
         ), "interior product rows sum to 1"),
     )
     return FactorizationReport(size, kind, float(tolerance), checks)

@@ -77,16 +77,22 @@ def dense_product(left, right):
 
 @st.composite
 def coefficient_tuples(draw):
-    """Coefficients for sizes 1..8, all Fraction or all float, with any
-    finite values: not necessarily stochastic, and floats large enough
-    that products overflow to infinity and differences of them to NaN."""
+    """Coefficients for sizes 1..8, all Fraction, all float, or Fraction
+    with floats allowed at t_0, r_0, t_1 and x_{size-1}, where the
+    factors store 0 and so the product stays exact.  Any finite values:
+    not necessarily stochastic, and floats large enough that products
+    overflow to infinity and differences of them to NaN."""
     size = draw(st.integers(1, 8))
-    values = draw(st.sampled_from([
-        st.fractions(-10, 10, max_denominator=100),
-        st.floats(allow_nan=False, allow_infinity=False),
-    ]))
-    seqs = [tuple(draw(st.lists(values, min_size=size, max_size=size))) for _ in range(5)]
-    return LUCoefficients(*seqs), size
+    fractions = st.fractions(-10, 10, max_denominator=100)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    family = draw(st.sampled_from(["fraction", "float", "mixed"]))
+    values = floats if family == "float" else fractions
+    x, y, t, r, s = (draw(st.lists(values, min_size=size, max_size=size)) for _ in range(5))
+    if family == "mixed":
+        for seq, n in ((t, 0), (r, 0), (t, 1), (x, size - 1)):
+            if n < size:
+                seq[n] = draw(fractions | floats)
+    return LUCoefficients(*map(tuple, (x, y, t, r, s))), size
 
 
 def worst(deviations):
@@ -116,7 +122,9 @@ def dense_checks(c: LUCoefficients, size: int, tolerance) -> dict:
         "product_row_sums": [abs(total(row) - 1) for row in product[:-1]],
     }
     if tolerance is None:
-        tolerance = 1e-12 if isinstance(x[0], float) else 0
+        # the report's kind is the product's: floats the factors zero leave it exact
+        floats = any(isinstance(value, float) for row in product for value in row)
+        tolerance = 1e-12 if floats else 0
     out = {"band_structure": (True, 0.0)}
     for name, devs in deviations.items():
         dev = worst(devs)
@@ -319,6 +327,50 @@ class TestVerify:
             monkeypatch.setattr(banded, name, counting)
         verify_lu(IP, 10)
         assert calls == Counter(names)
+
+    def test_exact_failures_keep_their_fraction_deviation(self):
+        # s_7 + 1/1000 and x_11 - 1/999; the deviations 1/999 and 1/1000
+        # round to floats below and above the exact values, so a tolerance
+        # equal to the reported deviation fails the first and passes the second
+        c = lu_coefficients_integer(IP, 19)
+        s, x = list(c.s), list(c.x)
+        s[7] += F(1, 1000)
+        x[11] -= F(1, 999)
+        perturbed = LUCoefficients(tuple(x), c.y, c.t, c.r, tuple(s))
+        pinned = {  # name -> (deviation, passed at that deviation as tolerance)
+            "coefficient_row_sums": (0.001001001001001001, False),
+            "factor_row_sums": (0.001001001001001001, False),
+            "product_row_sums": (0.001, True),
+        }
+        report = verify_factorization(perturbed, 20)
+        failed = {check.name: (check.deviation, check.passed)
+                  for check in report.checks if not check.passed}
+        assert failed == {name: (deviation, False) for name, (deviation, _) in pinned.items()}
+        for name, (deviation, at_deviation) in pinned.items():
+            for tolerance, passed in (
+                (math.nextafter(deviation, 0), False),
+                (deviation, at_deviation),
+                (math.nextafter(deviation, math.inf), True),
+            ):
+                report = verify_factorization(perturbed, 20, tolerance)
+                check = {check.name: check for check in report.checks}[name]
+                assert (check.deviation, check.passed) == (deviation, passed), (name, tolerance)
+
+    def test_passing_exact_entries_build_no_fraction_deviation(self, monkeypatch):
+        # an exact entry whose deviation is 0 is settled on integers; only
+        # boundary_values still subtracts and takes abs, a fixed number of times
+        calls = Counter()
+        for name in ("__sub__", "__rsub__", "__abs__"):
+            def counting(*args, name=name, original=getattr(F, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(F, name, counting)
+        counts = []
+        for size in (50, 400):
+            calls.clear()
+            assert verify_lu(IP, size).passed
+            counts.append(sum(calls.values()))
+        assert counts[0] == counts[1]
 
     def test_nan_tolerance_fails_everything(self):
         report = verify_factorization(lu_coefficients_integer(IP, 19), 20, tolerance=float("nan"))
