@@ -65,14 +65,6 @@ class BandedMatrix:
             rows[i] = tuple(v if 0 <= first + k < size else 0 for k, v in enumerate(rows[i]))
         return cls(size, lower_bandwidth, upper_bandwidth, tuple(rows))
 
-    def entry(self, i: int, j: int) -> Scalar:
-        if not (0 <= i < self.size and 0 <= j < self.size):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.size}x{self.size} matrix")
-        offset = j - i
-        if -self.lower_bandwidth <= offset <= self.upper_bandwidth:
-            return self.rows[i][offset + self.lower_bandwidth]
-        return 0
-
     def row_entries(self, i: int) -> list[tuple[int, Scalar]]:
         """In-band (column, value) pairs of row i, ascending column."""
         out = []

@@ -9,6 +9,11 @@ in double precision and prints 17 significant digits.  All outputs are
 deterministic functions of the flags, including --seed and regardless of
 --threads.
 
+:func:`main` is the one input path: before any command runs it checks
+the parameters, the urn form for the commands that draw urns, and each
+of the command's flags against its lower bound, in the order the
+command declares them (see :func:`build_parser`).
+
 Exit codes: 0 success, 1 runtime failure, 2 invalid parameters,
 3 verification failure.
 """
@@ -177,18 +182,6 @@ def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
     return 0
 
 
-def _add_parameter_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("parameters (choose one form)")
-    group.add_argument("--alpha", type=float, help="general form: alpha > -1")
-    group.add_argument("--beta", type=float, help="general form: beta > -1, |alpha - beta| < 1")
-    group.add_argument(
-        "--gamma",
-        help="shared by both forms: real > -1 with --alpha/--beta, integer >= 0 with --M/--N",
-    )
-    group.add_argument("--M", type=int, help="integer form: alpha = 1/M, M >= 1")
-    group.add_argument("--N", type=int, help="integer form: beta = 1/N, N >= 1")
-
-
 def _resolve_parameters(args) -> Parameters | IntegerParameters:
     integer_form = args.M is not None or args.N is not None
     general_form = args.alpha is not None or args.beta is not None
@@ -220,17 +213,6 @@ def _resolve_parameters(args) -> Parameters | IntegerParameters:
     return params
 
 
-def _require_integer_form(params) -> IntegerParameters:
-    if not isinstance(params, IntegerParameters):
-        raise ParameterError("this command simulates urns and requires --M/--N/--gamma")
-    return params
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterError(message)
-
-
 def _build_coefficients(params, n_max: int) -> LUCoefficients:
     if isinstance(params, IntegerParameters):
         return lu_coefficients_integer(params, n_max)
@@ -242,9 +224,7 @@ def _parameters_payload(params) -> dict:
     return {"form": form, **dataclasses.asdict(params)}
 
 
-def cmd_coeffs(args) -> int:
-    params = _resolve_parameters(args)
-    _require(args.n_max >= 0, "--n-max must be >= 0")
+def cmd_coeffs(args, params) -> int:
     coeffs = _build_coefficients(params, args.n_max)
     header = ["n", "x", "y", "t", "r", "s", "a", "b", "c", "d"]
     rows = []
@@ -258,44 +238,35 @@ def cmd_coeffs(args) -> int:
     return _emit_table(args, params, "coeffs", header, rows)
 
 
-def cmd_verify(args) -> int:
-    params = _resolve_parameters(args)
-    _require(args.T >= 1, "--T must be >= 1")
-    _require(
-        args.tolerance is None or 0 <= args.tolerance < math.inf,
-        f"--tolerance must be a finite number >= 0 (got {args.tolerance})",
-    )
+def cmd_verify(args, params) -> int:
+    if not (args.tolerance is None or 0 <= args.tolerance < math.inf):
+        raise ParameterError(f"--tolerance must be a finite number >= 0 (got {args.tolerance})")
     report = banded.verify_lu(params, args.T, tolerance=args.tolerance)
     _emit_json("verify", params, args.output, **report.to_dict())
     return 0 if report.passed else 3
 
 
-def cmd_simulate(args) -> int:
-    ip = _require_integer_form(_resolve_parameters(args))
-    _require(args.initial >= 0, "--initial must be >= 0")
-    _require(args.steps >= 0, "--steps must be >= 0")
-    _require(args.trials >= 0, "--trials must be >= 0")
-    _require(args.threads >= 1, "--threads must be >= 1")
-    _require(args.seed >= 0, "--seed must be >= 0")
+def cmd_simulate(args, params) -> int:
     experiment = urns.COMPOSITE if args.experiment == "composite" else int(args.experiment)
     meta = dict(experiment=args.experiment, initial=args.initial, steps=args.steps,
                 trials=args.trials, seed=args.seed)
     if args.aggregate:
         counts = urns.sample_endpoints(
-            ip, args.initial, experiment, args.trials, args.seed,
+            params, args.initial, experiment, args.trials, args.seed,
             steps=args.steps, threads=args.threads,
         )
         return _emit_table(
-            args, ip, "simulate", ["state", "count"], sorted(counts.items()), key="counts", **meta
+            args, params, "simulate", ["state", "count"], sorted(counts.items()),
+            key="counts", **meta,
         )
     paths = urns._sample_paths(
-        ip, args.initial, experiment, args.trials, args.seed,
+        params, args.initial, experiment, args.trials, args.seed,
         steps=args.steps, threads=args.threads,
     )
     sub_steps = (1, 2) if experiment == urns.COMPOSITE else (1,)
     labels = [(0, 0)] + [(step, sub) for step in range(1, args.steps + 1) for sub in sub_steps]
     return _emit_table(
-        args, ip, "simulate", ["trial", "step", "sub_step", "state"],
+        args, params, "simulate", ["trial", "step", "sub_step", "state"],
         _IntTable(_path_pieces(paths, labels)), **meta,
     )
 
@@ -315,22 +286,16 @@ def _path_pieces(paths, labels) -> Iterator[tuple]:
         yield tuple(column.tolist() for column in columns)
 
 
-def cmd_compare(args) -> int:
-    ip = _require_integer_form(_resolve_parameters(args))
-    initials = args.initial if args.initial else [0]
-    _require(all(start >= 0 for start in initials), "--initial must be >= 0")
-    _require(args.trials >= 1, "--trials must be >= 1")
-    _require(args.threads >= 1, "--threads must be >= 1")
-    _require(args.seed >= 0, "--seed must be >= 0")
+def cmd_compare(args, params) -> int:
     header = ["initial", "trials", "tv_distance", "chi_square", "dof", "chi_square_0999", "ok"]
     rows = []
-    for start in initials:
+    for start in args.initial or [0]:
         counts = urns.sample_endpoints(
-            ip, start, urns.COMPOSITE, args.trials, args.seed,
+            params, start, urns.COMPOSITE, args.trials, args.seed,
             stream_offset=start << 20, threads=args.threads,
         )
         # the draw tree's law in a TransitionRow's order: float sums follow it
-        exact = dict(sorted(urns.composite_distribution(ip, start).items(), reverse=True))
+        exact = dict(sorted(urns.composite_distribution(params, start).items(), reverse=True))
         empirical = analysis.EmpiricalDistribution.from_counts(counts)
         tv = analysis.tv_distance(empirical, exact)
         statistic, dof = analysis.chi_square_statistic(empirical, exact)
@@ -339,12 +304,10 @@ def cmd_compare(args) -> int:
             [start, args.trials, tv, statistic, dof, threshold, statistic <= threshold],
             initial=start,
         ))
-    return _emit_table(args, ip, "compare", header, rows, trials=args.trials, seed=args.seed)
+    return _emit_table(args, params, "compare", header, rows, trials=args.trials, seed=args.seed)
 
 
-def cmd_poly(args) -> int:
-    params = _resolve_parameters(args)
-    _require(args.n_max >= 0, "--n-max must be >= 0")
+def cmd_poly(args, params) -> int:
     coeffs = _build_coefficients(params, args.n_max)
     exact = isinstance(params, IntegerParameters)
     points = args.x if args.x else ["1"]
@@ -366,16 +329,10 @@ def cmd_poly(args) -> int:
     return _emit_table(args, params, "poly", header, rows)
 
 
-def cmd_graph(args) -> int:
-    params = _resolve_parameters(args)
-    _require(args.T >= 1, "--T must be >= 1")
+def cmd_graph(args, params) -> int:
     coeffs = _build_coefficients(params, args.T - 1)
-    if args.which == "PL":
-        matrix = banded.death_factor(coeffs, args.T)
-    elif args.which == "PU":
-        matrix = banded.birth_factor(coeffs, args.T)
-    else:
-        matrix = banded.reconstructed_matrix(coeffs, args.T)
+    builder = {"P": "reconstructed_matrix", "PL": "death_factor", "PU": "birth_factor"}[args.which]
+    matrix = getattr(banded, builder)(coeffs, args.T)
     with _output(args.output) as handle:
         handle.write(f"digraph {args.which} {{\n  rankdir=LR;\n")
         handle.writelines(f"  {state};\n" for state in range(args.T))
@@ -389,6 +346,10 @@ def cmd_graph(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, each subcommand declared once by ``command``: its
+    handler, help and output formats, whether it needs the urn form
+    (--M/--N/--gamma) and its flags' lower bounds, ``(flag, least)``
+    pairs that :func:`main` checks in order."""
     parser = argparse.ArgumentParser(
         prog="urnchain",
         description=(
@@ -398,14 +359,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, formats, default_format):
-        _add_parameter_flags(sub)
+    def command(name, func, summary, *bounds, formats=("csv", "json"), urn_form=False):
+        sub = subparsers.add_parser(name, help=summary)
+        group = sub.add_argument_group("parameters (choose one form)")
+        group.add_argument("--alpha", type=float, help="general form: alpha > -1")
+        group.add_argument("--beta", type=float, help="general form: beta > -1, |alpha - beta| < 1")
+        group.add_argument(
+            "--gamma",
+            help="shared by both forms: real > -1 with --alpha/--beta, integer >= 0 with --M/--N",
+        )
+        group.add_argument("--M", type=int, help="integer form: alpha = 1/M, M >= 1")
+        group.add_argument("--N", type=int, help="integer form: beta = 1/N, N >= 1")
         if formats:
             sub.add_argument(
-                "--format", choices=formats, default=default_format,
-                help=f"output format (default {default_format})",
+                "--format", choices=formats, default=formats[0],
+                help=f"output format (default {formats[0]})",
             )
         sub.add_argument("--output", help="write to this path instead of stdout")
+        sub.set_defaults(func=func, urn_form=urn_form, bounds=bounds)
+        return sub
 
     def add_sampling(sub):
         sub.add_argument(
@@ -414,22 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--threads", type=int, default=1, help="worker threads (result-invariant)")
 
-    sub = subparsers.add_parser("coeffs", help="coefficient and transition-row table")
-    add_common(sub, ["csv", "json"], "csv")
+    sub = command("coeffs", cmd_coeffs, "coefficient and transition-row table", ("--n-max", 0))
     sub.add_argument("--n-max", type=int, default=10, help="largest state index (default 10)")
-    sub.set_defaults(func=cmd_coeffs)
 
-    sub = subparsers.add_parser("verify", help="factorization and invariant checks (JSON report)")
-    add_common(sub, None, None)
+    sub = command(
+        "verify", cmd_verify, "factorization and invariant checks (JSON report)", ("--T", 1),
+        formats=None,
+    )
     sub.add_argument("--T", type=int, default=200, help="truncation dimension (default 200)")
     sub.add_argument(
         "--tolerance", type=float, default=None,
         help="override the per-entry tolerance (default: exact for --M/--N, 1e-12 otherwise)",
     )
-    sub.set_defaults(func=cmd_verify)
 
-    sub = subparsers.add_parser("simulate", help="run urn experiments (integer form only)")
-    add_common(sub, ["csv", "json"], "csv")
+    sub = command(
+        "simulate", cmd_simulate, "run urn experiments (integer form only)",
+        ("--initial", 0), ("--steps", 0), ("--trials", 0), ("--threads", 1), ("--seed", 0),
+        urn_form=True,
+    )
     sub.add_argument(
         "--experiment", choices=["1", "2", "composite"], default="composite",
         help="which step to run (default composite: experiment 1 then 2)",
@@ -442,37 +416,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--aggregate", action="store_true",
         help="emit end-state counts instead of full trajectories",
     )
-    sub.set_defaults(func=cmd_simulate)
 
-    sub = subparsers.add_parser(
-        "compare", help="empirical composite-step law vs exact row (integer form only)"
+    sub = command(
+        "compare", cmd_compare, "empirical composite-step law vs exact row (integer form only)",
+        ("--initial", 0), ("--trials", 1), ("--threads", 1), ("--seed", 0), urn_form=True,
     )
-    add_common(sub, ["csv", "json"], "csv")
+    # no default: argparse would append to it; cmd_compare reads None as [0]
     sub.add_argument(
         "--initial", type=int, action="append",
         help="start state; repeatable (default 0)",
     )
     sub.add_argument("--trials", type=int, default=100000, help="trials per state (default 100000)")
     add_sampling(sub)
-    sub.set_defaults(func=cmd_compare)
 
-    sub = subparsers.add_parser("poly", help="polynomial values via the four-band recursion")
-    add_common(sub, ["csv", "json"], "csv")
+    sub = command("poly", cmd_poly, "polynomial values via the four-band recursion", ("--n-max", 0))
     sub.add_argument("--n-max", type=int, default=10, help="largest polynomial index (default 10)")
     sub.add_argument(
         "--x", action="append",
         help="evaluation point, rational like 1 or 3/4; repeatable (default 1)",
     )
-    sub.set_defaults(func=cmd_poly)
 
-    sub = subparsers.add_parser("graph", help="transition digraph in DOT format")
-    add_common(sub, ["dot"], "dot")
+    sub = command(
+        "graph", cmd_graph, "transition digraph in DOT format", ("--T", 1), formats=["dot"]
+    )
     sub.add_argument(
         "--which", choices=["P", "PL", "PU"], default="P",
         help="composite chain (P), pure-death factor (PL) or pure-birth factor (PU)",
     )
     sub.add_argument("--T", type=int, default=6, help="number of states drawn (default 6)")
-    sub.set_defaults(func=cmd_graph)
 
     return parser
 
@@ -486,7 +457,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        params = _resolve_parameters(args)
+        if args.urn_form and not isinstance(params, IntegerParameters):
+            raise ParameterError("this command simulates urns and requires --M/--N/--gamma")
+        for flag, least in args.bounds:
+            given = getattr(args, flag.lstrip("-").replace("-", "_"))
+            # a repeatable flag holds a list, or None when not given
+            if given is not None and min(given if isinstance(given, list) else [given]) < least:
+                raise ParameterError(f"{flag} must be >= {least}")
+        return args.func(args, params)
     except ParameterError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2

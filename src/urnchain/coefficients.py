@@ -140,14 +140,6 @@ class TransitionRow:
             out[self.n - 2] = self.d
         return out
 
-    def total(self) -> Scalar:
-        row_sum = self.a + self.b
-        if self.c is not None:
-            row_sum += self.c
-        if self.d is not None:
-            row_sum += self.d
-        return row_sum
-
 
 def _birth_pair(p: Parameters, m: int) -> tuple[Scalar, Scalar]:
     """(x_m, y_m) from the general formulas."""

@@ -55,7 +55,12 @@ def identity(size: int) -> BandedMatrix:
 
 
 def to_dense(m: BandedMatrix) -> list[list[Scalar]]:
-    return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
+    """The full matrix: the in-band entries of each row, 0 elsewhere."""
+    dense = [[0] * m.size for _ in range(m.size)]
+    for i in range(m.size):
+        for j, value in m.row_entries(i):
+            dense[i][j] = value
+    return dense
 
 
 def regularized_lower_gamma(a: float, x: float) -> float:

@@ -913,6 +913,244 @@ initial,trials,tv_distance,chi_square,dof,chi_square_0999,ok
 }
 
 
+# one value past each input gate that main checks before a command
+# runs: the urn form, then the command's flag bounds in the order it
+# declares them (the first bad flag is named, and a --T bound comes
+# before verify's own --tolerance check)
+URN_FORM = ["--M", "2", "--N", "3", "--gamma", "1"]
+GENERAL_FORM = ["--alpha", "0.5", "--beta", "0.3", "--gamma", "1"]
+INPUT_GATES = {
+    "coeffs --n-max": (
+        ["coeffs", *URN_FORM, "--n-max", "-1"],
+        "error: invalid parameters: --n-max must be >= 0\n",
+    ),
+    "poly --n-max": (
+        ["poly", *URN_FORM, "--n-max", "-1"],
+        "error: invalid parameters: --n-max must be >= 0\n",
+    ),
+    "verify --T": (
+        ["verify", *URN_FORM, "--T", "0"],
+        "error: invalid parameters: --T must be >= 1\n",
+    ),
+    "graph --T": (
+        ["graph", *URN_FORM, "--T", "0"],
+        "error: invalid parameters: --T must be >= 1\n",
+    ),
+    "simulate --initial": (
+        ["simulate", *URN_FORM, "--initial", "-1"],
+        "error: invalid parameters: --initial must be >= 0\n",
+    ),
+    "simulate --steps": (
+        ["simulate", *URN_FORM, "--steps", "-1"],
+        "error: invalid parameters: --steps must be >= 0\n",
+    ),
+    "simulate --trials": (
+        ["simulate", *URN_FORM, "--trials", "-1"],
+        "error: invalid parameters: --trials must be >= 0\n",
+    ),
+    "simulate --threads": (
+        ["simulate", *URN_FORM, "--threads", "0"],
+        "error: invalid parameters: --threads must be >= 1\n",
+    ),
+    "simulate --seed": (
+        ["simulate", *URN_FORM, "--seed", "-1"],
+        "error: invalid parameters: --seed must be >= 0\n",
+    ),
+    "compare --initial": (
+        ["compare", *URN_FORM, "--initial", "3", "--initial", "-2"],
+        "error: invalid parameters: --initial must be >= 0\n",
+    ),
+    "compare --trials": (
+        ["compare", *URN_FORM, "--trials", "0"],
+        "error: invalid parameters: --trials must be >= 1\n",
+    ),
+    "compare --threads": (
+        ["compare", *URN_FORM, "--threads", "0"],
+        "error: invalid parameters: --threads must be >= 1\n",
+    ),
+    "compare --seed": (
+        ["compare", *URN_FORM, "--seed", "-1"],
+        "error: invalid parameters: --seed must be >= 0\n",
+    ),
+    "simulate general form": (
+        ["simulate", *GENERAL_FORM],
+        "error: invalid parameters: this command simulates urns and requires --M/--N/--gamma\n",
+    ),
+    "compare general form": (
+        ["compare", *GENERAL_FORM],
+        "error: invalid parameters: this command simulates urns and requires --M/--N/--gamma\n",
+    ),
+    "simulate two bad flags": (
+        ["simulate", *URN_FORM, "--threads", "0", "--seed", "-1"],
+        "error: invalid parameters: --threads must be >= 1\n",
+    ),
+    "verify --T and --tolerance": (
+        ["verify", *URN_FORM, "--T", "0", "--tolerance", "nan"],
+        "error: invalid parameters: --T must be >= 1\n",
+    ),
+}
+
+# the seven --help texts at COLUMNS=80, as Python 3.11 prints them
+# (3.10 names the "options:" group "optional arguments:")
+PINNED_HELP = {
+    "urnchain": """\
+usage: urnchain [-h] {coeffs,verify,simulate,compare,poly,graph} ...
+
+Pentadiagonal urn-model Markov chain: exact coefficients, stochastic LU
+verification, ball-level simulation and statistics.
+
+positional arguments:
+  {coeffs,verify,simulate,compare,poly,graph}
+    coeffs              coefficient and transition-row table
+    verify              factorization and invariant checks (JSON report)
+    simulate            run urn experiments (integer form only)
+    compare             empirical composite-step law vs exact row (integer
+                        form only)
+    poly                polynomial values via the four-band recursion
+    graph               transition digraph in DOT format
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "coeffs": """\
+usage: urnchain coeffs [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
+                       [--M M] [--N N] [--format {csv,json}] [--output OUTPUT]
+                       [--n-max N_MAX]
+
+options:
+  -h, --help           show this help message and exit
+  --format {csv,json}  output format (default csv)
+  --output OUTPUT      write to this path instead of stdout
+  --n-max N_MAX        largest state index (default 10)
+
+parameters (choose one form):
+  --alpha ALPHA        general form: alpha > -1
+  --beta BETA          general form: beta > -1, |alpha - beta| < 1
+  --gamma GAMMA        shared by both forms: real > -1 with --alpha/--beta,
+                       integer >= 0 with --M/--N
+  --M M                integer form: alpha = 1/M, M >= 1
+  --N N                integer form: beta = 1/N, N >= 1
+""",
+    "verify": """\
+usage: urnchain verify [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
+                       [--M M] [--N N] [--output OUTPUT] [--T T]
+                       [--tolerance TOLERANCE]
+
+options:
+  -h, --help            show this help message and exit
+  --output OUTPUT       write to this path instead of stdout
+  --T T                 truncation dimension (default 200)
+  --tolerance TOLERANCE
+                        override the per-entry tolerance (default: exact for
+                        --M/--N, 1e-12 otherwise)
+
+parameters (choose one form):
+  --alpha ALPHA         general form: alpha > -1
+  --beta BETA           general form: beta > -1, |alpha - beta| < 1
+  --gamma GAMMA         shared by both forms: real > -1 with --alpha/--beta,
+                        integer >= 0 with --M/--N
+  --M M                 integer form: alpha = 1/M, M >= 1
+  --N N                 integer form: beta = 1/N, N >= 1
+""",
+    "simulate": """\
+usage: urnchain simulate [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
+                         [--M M] [--N N] [--format {csv,json}]
+                         [--output OUTPUT] [--experiment {1,2,composite}]
+                         [--initial INITIAL] [--steps STEPS] [--trials TRIALS]
+                         [--seed SEED] [--threads THREADS] [--aggregate]
+
+options:
+  -h, --help            show this help message and exit
+  --format {csv,json}   output format (default csv)
+  --output OUTPUT       write to this path instead of stdout
+  --experiment {1,2,composite}
+                        which step to run (default composite: experiment 1
+                        then 2)
+  --initial INITIAL     start state (default 0)
+  --steps STEPS         steps per trial (default 1)
+  --trials TRIALS       independent trials (default 1)
+  --seed SEED           RNG seed; fixed default 0x4a50 keeps bare runs
+                        reproducible
+  --threads THREADS     worker threads (result-invariant)
+  --aggregate           emit end-state counts instead of full trajectories
+
+parameters (choose one form):
+  --alpha ALPHA         general form: alpha > -1
+  --beta BETA           general form: beta > -1, |alpha - beta| < 1
+  --gamma GAMMA         shared by both forms: real > -1 with --alpha/--beta,
+                        integer >= 0 with --M/--N
+  --M M                 integer form: alpha = 1/M, M >= 1
+  --N N                 integer form: beta = 1/N, N >= 1
+""",
+    "compare": """\
+usage: urnchain compare [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
+                        [--M M] [--N N] [--format {csv,json}]
+                        [--output OUTPUT] [--initial INITIAL]
+                        [--trials TRIALS] [--seed SEED] [--threads THREADS]
+
+options:
+  -h, --help           show this help message and exit
+  --format {csv,json}  output format (default csv)
+  --output OUTPUT      write to this path instead of stdout
+  --initial INITIAL    start state; repeatable (default 0)
+  --trials TRIALS      trials per state (default 100000)
+  --seed SEED          RNG seed; fixed default 0x4a50 keeps bare runs
+                       reproducible
+  --threads THREADS    worker threads (result-invariant)
+
+parameters (choose one form):
+  --alpha ALPHA        general form: alpha > -1
+  --beta BETA          general form: beta > -1, |alpha - beta| < 1
+  --gamma GAMMA        shared by both forms: real > -1 with --alpha/--beta,
+                       integer >= 0 with --M/--N
+  --M M                integer form: alpha = 1/M, M >= 1
+  --N N                integer form: beta = 1/N, N >= 1
+""",
+    "poly": """\
+usage: urnchain poly [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
+                     [--M M] [--N N] [--format {csv,json}] [--output OUTPUT]
+                     [--n-max N_MAX] [--x X]
+
+options:
+  -h, --help           show this help message and exit
+  --format {csv,json}  output format (default csv)
+  --output OUTPUT      write to this path instead of stdout
+  --n-max N_MAX        largest polynomial index (default 10)
+  --x X                evaluation point, rational like 1 or 3/4; repeatable
+                       (default 1)
+
+parameters (choose one form):
+  --alpha ALPHA        general form: alpha > -1
+  --beta BETA          general form: beta > -1, |alpha - beta| < 1
+  --gamma GAMMA        shared by both forms: real > -1 with --alpha/--beta,
+                       integer >= 0 with --M/--N
+  --M M                integer form: alpha = 1/M, M >= 1
+  --N N                integer form: beta = 1/N, N >= 1
+""",
+    "graph": """\
+usage: urnchain graph [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
+                      [--M M] [--N N] [--format {dot}] [--output OUTPUT]
+                      [--which {P,PL,PU}] [--T T]
+
+options:
+  -h, --help         show this help message and exit
+  --format {dot}     output format (default dot)
+  --output OUTPUT    write to this path instead of stdout
+  --which {P,PL,PU}  composite chain (P), pure-death factor (PL) or pure-birth
+                     factor (PU)
+  --T T              number of states drawn (default 6)
+
+parameters (choose one form):
+  --alpha ALPHA      general form: alpha > -1
+  --beta BETA        general form: beta > -1, |alpha - beta| < 1
+  --gamma GAMMA      shared by both forms: real > -1 with --alpha/--beta,
+                     integer >= 0 with --M/--N
+  --M M              integer form: alpha = 1/M, M >= 1
+  --N N              integer form: beta = 1/N, N >= 1
+""",
+}
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -1417,6 +1655,24 @@ class TestInputValidation:
     def test_non_integer_gamma_with_integer_form(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--M", "2", "--N", "3", "--gamma", "0.5")
         assert code == 2 and "--gamma" in err
+
+
+class TestInputGates:
+    @pytest.mark.parametrize("case", list(INPUT_GATES))
+    def test_exits_two_naming_the_first_bad_input(self, capsys, case):
+        argv, expected_err = INPUT_GATES[case]
+        assert run_cli(capsys, *argv) == (2, "", expected_err)
+
+    @pytest.mark.parametrize("command", list(PINNED_HELP))
+    def test_help_is_pinned(self, monkeypatch, capsys, command):
+        # argparse wraps help text to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command == "urnchain" else [command, "--help"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, err) == (0, "")
+        assert out.replace("optional arguments:", "options:") == PINNED_HELP[command]
 
 
 class TestGraph:

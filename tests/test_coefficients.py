@@ -171,14 +171,14 @@ class TestReconstructRow:
         c = lu_coefficients_integer(IntegerParameters(2, 3, 1), 0)
         row = reconstruct_row(c, 0)
         assert (row.a, row.b, row.c, row.d) == (F(4, 7), F(3, 7), None, None)
-        assert row.total() == 1
+        assert sum(row.probabilities().values()) == 1
 
     def test_row_one_uses_single_down_product(self):
         c = lu_coefficients_integer(IntegerParameters(2, 3, 1), 1)
         row = reconstruct_row(c, 1)
         assert row.c == c.r[1] * c.y[0] == F(2, 21)
         assert row.d is None
-        assert row.total() == 1
+        assert sum(row.probabilities().values()) == 1
 
     def test_down_two_entry(self):
         c = lu_coefficients_integer(IntegerParameters(2, 3, 1), 2)
@@ -188,7 +188,7 @@ class TestReconstructRow:
     def test_rows_sum_to_one(self):
         c = lu_coefficients_integer(IntegerParameters(3, 2, 2), 50)
         for n in range(51):
-            assert reconstruct_row(c, n).total() == 1
+            assert sum(reconstruct_row(c, n).probabilities().values()) == 1
 
     def test_out_of_range(self):
         c = lu_coefficients_integer(IntegerParameters(2, 3, 1), 3)
