@@ -87,25 +87,22 @@ _ROWS_MARKER = "\0urnchain rows\0"
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), sort_keys=True, allow_nan=False)
 # between two row objects at depth 1 of an indent=2 dump
 _ROW_SEPARATOR = ",\n    "
-# rows per piece of an int table's text, whatever its row count
-_PIECE_ROWS = 2048
-
-
-class _IntTable:
-    """A table of ints alone (no bool: JSON writes true), in pieces of
-    at most :data:`_PIECE_ROWS` rows, each one sequence per column."""
-
-    def __init__(self, pieces: Iterable[tuple]):
-        self.pieces = pieces
+# stands in for the trial number in the template of one trajectory trial
+_TRIAL_MARKER = "\0"
+# the most trajectory rows turned into Python ints and text at a time:
+# whole trials, or a segment of a trial longer than this
+_BLOCK_ROWS = 2048
 
 
 def _json_chunks(payload: dict, key=None, objects=()) -> Iterable[str]:
     """The text of :func:`_dumps` of ``payload`` with a list of row
     objects under ``key``, in pieces: ``objects`` is their text, each
-    piece one or more of them joined by :data:`_ROW_SEPARATOR` (see
-    :func:`_json_rows` and :func:`_int_rows`).  The envelope is encoded
-    before this returns, each row only when the iterator reaches it, so
-    memory does not grow with the row count."""
+    piece one or more of them joined by :data:`_ROW_SEPARATOR`: one
+    object a piece from :func:`_json_rows`, the rows of whole trials (or
+    of a segment of one) filled into a trial's template from
+    :func:`_trajectory_text`.  The envelope is encoded before this
+    returns, each row only when the iterator reaches it, so memory does
+    not grow with the row count."""
     if key is None:
         return [_dumps(payload)]
     head, *tail = _dumps({**payload, key: _ROWS_MARKER}).split(json.dumps(_ROWS_MARKER))
@@ -130,23 +127,6 @@ def _json_rows(header, rows) -> Iterator[str]:
         yield f"{{\n      {_ROW_ENCODER.encode(dict(zip(header, row)))[1:-1]}\n    }}"
 
 
-def _int_rows(fmt: str, header, pieces) -> Iterator[str]:
-    """Each piece of an int table as one text: CSV lines, or row objects
-    joined for :func:`_json_chunks`.  The str() of an int is its CSV and
-    its JSON text, so a row is one ``str.format`` of a template built
-    once from ``header``, JSON keys sorted as ``sort_keys`` sorts them."""
-    if fmt == "json":
-        fields = ",\n      ".join(
-            json.dumps(header[i]).replace("{", "{{").replace("}", "}}") + f": {{{i}}}"
-            for i in sorted(range(len(header)), key=header.__getitem__)
-        )
-        template, separator = f"{{{{\n      {fields}\n    }}}}", _ROW_SEPARATOR
-    else:
-        template, separator = ",".join(f"{{{i}}}" for i in range(len(header))) + "\n", ""
-    for columns in pieces:
-        yield separator.join(map(template.format, *columns))
-
-
 def _emit_json(command: str, params, output: str | None, table=(), /, **fields) -> None:
     """Write the one JSON envelope: schema, command and parameters
     beside the command's own ``fields``, keys sorted.  A ``table``,
@@ -160,25 +140,20 @@ def _emit_json(command: str, params, output: str | None, table=(), /, **fields) 
 
 
 def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
-    """Write one table as its rows arrive: CSV under a header row, or
-    JSON objects under ``key`` beside ``meta``.  An :class:`_IntTable`
-    is written a piece at a time from a row template (:func:`_int_rows`),
-    any other ``rows`` one cell at a time.  Cells are None, bool, int,
-    float and str only, and every float cell is finite (see
-    :func:`_exact`), so nothing can raise once the first byte is
-    written: a failing table leaves stdout empty in either format."""
-    ints = isinstance(rows, _IntTable)
+    """Write one table as its rows arrive, one cell at a time: CSV under
+    a header row, or JSON objects under ``key`` beside ``meta``.  Cells
+    are None, bool, int, float and str only, and every float cell is
+    finite (see :func:`_exact`), so nothing can raise once the first
+    byte is written: a failing table leaves stdout empty in either
+    format.  The trajectory table, ints alone, is written from one
+    trial's template instead (:func:`_trajectory_text`)."""
     if args.format == "json":
-        objects = _int_rows("json", header, rows.pieces) if ints else _json_rows(header, rows)
-        _emit_json(command, params, args.output, (key, objects), **meta)
+        _emit_json(command, params, args.output, (key, _json_rows(header, rows)), **meta)
         return 0
     with _output(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        if ints:
-            handle.writelines(_int_rows("csv", header, rows.pieces))
-        else:
-            writer.writerows([_cell(value) for value in row] for row in rows)
+        writer.writerows([_cell(value) for value in row] for row in rows)
     return 0
 
 
@@ -264,26 +239,50 @@ def cmd_simulate(args, params) -> int:
         steps=args.steps, threads=args.threads,
     )
     sub_steps = (1, 2) if experiment == urns.COMPOSITE else (1,)
-    labels = [(0, 0)] + [(step, sub) for step in range(1, args.steps + 1) for sub in sub_steps]
-    return _emit_table(
-        args, params, "simulate", ["trial", "step", "sub_step", "state"],
-        _IntTable(_path_pieces(paths, labels)), **meta,
-    )
+    labels = itertools.chain([(0, 0)], itertools.product(range(1, args.steps + 1), sub_steps))
+    text = _trajectory_text(args.format, paths, labels)
+    if args.format == "json":
+        _emit_json("simulate", params, args.output, ("rows", text), **meta)
+        return 0
+    with _output(args.output) as handle:
+        handle.write("trial,step,sub_step,state\n")
+        handle.writelines(text)
+    return 0
 
 
-def _path_pieces(paths, labels) -> Iterator[tuple]:
-    """The trajectory table, one row per path entry in trial order, as
-    pieces of :data:`_PIECE_ROWS` rows: the trial, the entry's (step,
-    sub_step) label and the state, each column a list of ints."""
-    import numpy as np
-
-    steps, subs = np.array(labels).T
-    states = paths.reshape(-1)
-    for start in range(0, states.size, _PIECE_ROWS):
-        stop = min(start + _PIECE_ROWS, states.size)
-        trial, label = np.divmod(np.arange(start, stop), len(labels))
-        columns = trial, steps[label], subs[label], states[start:stop]
-        yield tuple(column.tolist() for column in columns)
+def _trajectory_text(fmt: str, paths, labels) -> Iterator[str]:
+    """The trajectory table's rows, one row per path entry in trial
+    order, in pieces: CSV lines, or row objects joined for
+    :func:`_json_chunks`.  ``labels`` is each path entry's (step,
+    sub_step).  One trial's text is built once as a template, in
+    segments of at most :data:`_BLOCK_ROWS` rows: those labels written
+    in, each state a ``%d`` field and the trial number
+    :data:`_TRIAL_MARKER`; the str() of an int is its CSV and its JSON
+    text.  A piece holds at most :data:`_BLOCK_ROWS` rows: whole trials,
+    or one segment of a longer trial."""
+    if fmt == "json":
+        # an indent=2 row object at depth 2, its keys in sort_keys order
+        rows = (
+            f'{{\n      "state": %d,\n      "step": {step},\n      "sub_step": {sub},\n'
+            f'      "trial": {_TRIAL_MARKER}\n    }}'
+            for step, sub in labels
+        )
+        separator = _ROW_SEPARATOR
+    else:
+        rows, separator = (f"{_TRIAL_MARKER},{step},{sub},%d\n" for step, sub in labels), ""
+    templates = []
+    while segment := list(itertools.islice(rows, _BLOCK_ROWS)):
+        templates.append(separator.join(segment))
+    # a trial of one segment shares its piece with the next trials; a
+    # longer one fills pieces alone
+    trials = max(1, _BLOCK_ROWS // paths.shape[1])
+    for first in range(0, len(paths), trials):
+        for start, template in zip(itertools.count(0, _BLOCK_ROWS), templates):
+            block = paths[first:first + trials, start:start + _BLOCK_ROWS].tolist()
+            yield separator.join(
+                template.replace(_TRIAL_MARKER, str(trial)) % tuple(states)
+                for trial, states in enumerate(block, first)
+            )
 
 
 def cmd_compare(args, params) -> int:
