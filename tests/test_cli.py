@@ -28,7 +28,7 @@ from urnchain.coefficients import (
     Parameters,
     reconstruct_row,
 )
-from urnchain.urns import CHUNK_TRIALS, COMPOSITE, sample_endpoints
+from urnchain.urns import CHUNK_TRIALS, COMPOSITE, _sample_paths, sample_endpoints
 
 F = Fraction
 
@@ -1366,6 +1366,12 @@ class TestVerify:
 class TestSimulate:
     ARGS = ["simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "4"]
 
+    def test_requires_integer_form(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--alpha", "0.5", "--beta", "0.2", "--gamma", "1"
+        )
+        assert code == 2 and "--M/--N" in err
+
     def test_trajectory_rows_alternate_sub_steps(self, capsys):
         code, out, _ = run_cli(
             capsys, *self.ARGS, "--steps", "3", "--trials", "2", "--seed", "7"
@@ -1452,6 +1458,22 @@ class TestSimulate:
         )
         assert code == 0
         assert out == PINNED_TRAJECTORY
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 2048])
+    def test_trajectory_pieces_follow_the_paths(self, monkeypatch, block_rows):
+        # the rows as trajectory mode once enumerated them are the
+        # reference; blocks of 5 rows split the 7-entry paths
+        monkeypatch.setattr("urnchain.cli._BLOCK_ROWS", block_rows)
+        paths = _sample_paths(IntegerParameters(2, 3, 1), 4, COMPOSITE, 5, 7, steps=3, threads=1)
+        labels = [(0, 0)] + [(step, sub) for step in range(1, 4) for sub in (1, 2)]
+        pieces = list(_trajectory_text("csv", paths, iter(labels)))
+        assert all(piece.count("\n") <= block_rows for piece in pieces)
+        rows = [tuple(map(int, line.split(","))) for line in "".join(pieces).splitlines()]
+        assert rows == [
+            (trial, step, sub, state)
+            for trial, path in enumerate(paths)
+            for (step, sub), state in zip(labels, path.tolist())
+        ]
 
     @given(st.data())
     def test_trajectory_text_equals_the_row_enumeration(self, data):
@@ -1650,6 +1672,18 @@ class TestPoly:
 
 
 class TestInputValidation:
+    def test_negative_initial_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "-1"
+        )
+        assert code == 2 and "--initial" in err
+
+    def test_zero_truncation_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "graph", "--M", "2", "--N", "3", "--gamma", "1", "--T", "0"
+        )
+        assert code == 2 and "--T" in err
+
     def test_non_integer_gamma_with_integer_form(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--M", "2", "--N", "3", "--gamma", "0.5")
         assert code == 2 and "--gamma" in err
