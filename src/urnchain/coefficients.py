@@ -74,7 +74,12 @@ def validate_parameters(p: Parameters) -> tuple[str, ...]:
 
 
 def validate_integer_parameters(ip: IntegerParameters) -> tuple[str, ...]:
-    """Return the violated conditions for the integer form (empty if valid)."""
+    """Return the violated conditions for the integer form (empty if valid).
+
+    Integers M, N >= 1 and gamma >= 0 are all it takes: then alpha = 1/M
+    and beta = 1/N lie in (0, 1], so alpha, beta, gamma > -1 and
+    |alpha - beta| < 1 (that is, |M - N| < M N), the general form's
+    stochasticity conditions, hold."""
     violations = []
     for name in ("M", "N", "gamma"):
         value = getattr(ip, name)
@@ -87,9 +92,6 @@ def validate_integer_parameters(ip: IntegerParameters) -> tuple[str, ...]:
             violations.append(f"N must be >= 1 (got {ip.N})")
         if ip.gamma < 0:
             violations.append(f"gamma must be >= 0 (got {ip.gamma})")
-    if not violations and not abs(ip.M - ip.N) < ip.M * ip.N:
-        # automatically true for M, N >= 1; kept as an explicit gate
-        violations.append(f"|M - N| must be < M*N (got |{ip.M} - {ip.N}| >= {ip.M * ip.N})")
     return tuple(violations)
 
 

@@ -33,7 +33,9 @@ commands that draw nothing start without it.
 
 from __future__ import annotations
 
+import itertools
 import os
+from array import array
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -245,17 +247,20 @@ def _urn_table(
     if experiment == 2:
         death, birth = range(0), range(initial_state, initial_state + steps)
     lo, hi = (birth or death).start, initial_state + up
-    blue, total = [0] * (4 * (hi - lo)), [1] * (4 * (hi - lo))
+    size = 4 * (hi - lo)
+    # the one copy of the table: every blue count, then every total
+    counts = array("q", bytes(8 * size))
+    counts.extend(itertools.repeat(1, size))
     for m in range(lo, hi):
         slots = urn_slots(ip, m)
         drawn = ((0,) if m in birth else ()) + ((1, 2, 3) if m in death else ())
         for k in drawn:
+            blue, total = slots[k]
+            if total > _INT64_MAX:  # raises, naming the first such urn in column order
+                _int64_total(_SLOT_NAMES[k], total, m)
             column = 4 * (m - lo) + k
-            blue[column], total[column] = slots[k]
-    if max(total) > _INT64_MAX:  # name the first urn over the limit
-        column = next(k for k, balls in enumerate(total) if balls > _INT64_MAX)
-        _int64_total(_SLOT_NAMES[column % 4], total[column], lo + column // 4)
-    return lo, np.array([blue, total], dtype=np.int64)
+            counts[size + column], counts[column] = total, blue
+    return lo, np.frombuffer(counts, dtype=np.int64).reshape(2, size)
 
 
 def _advance(

@@ -13,13 +13,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from urnchain import analysis
 from urnchain.cli import (
-    _ROWS_MARKER, _cell, _json_chunks, _json_rows, _trajectory_text, main,
+    _ROWS_MARKER, _json_chunks, _json_rows, _trajectory_text, main,
 )
 from urnchain.coefficients import (
     IntegerParameters,
@@ -30,1128 +30,10 @@ from urnchain.coefficients import (
 )
 from urnchain.urns import CHUNK_TRIALS, COMPOSITE, _sample_paths, sample_endpoints
 
+from golden.record import run
+from test_golden import names, replay
+
 F = Fraction
-
-# simulate --aggregate stdout per (M, N, gamma, experiment, initial), for
-# --steps 3 --trials CHUNK_TRIALS + 2000 --seed 2024, recorded before the
-# sampler read its ball counts through the urn table: any change in how
-# the sampler consumes draws shows here
-PINNED_AGGREGATE = {
-    ("2", "3", "1", "1", 0): "state,count\n0,18384\n",
-    ("2", "3", "1", "1", 1): "state,count\n0,9687\n1,8697\n",
-    ("2", "3", "1", "1", 2): "state,count\n0,4703\n1,8219\n2,5462\n",
-    ("2", "3", "1", "1", 37): (
-        "state,count\n31,16\n32,242\n33,1299\n"
-        "34,3713\n35,6009\n36,5255\n37,1850\n"
-    ),
-    ("2", "3", "1", "2", 0): "state,count\n0,1434\n1,4280\n2,8177\n3,4493\n",
-    ("2", "3", "1", "2", 1): "state,count\n1,538\n2,4524\n3,7922\n4,5400\n",
-    ("2", "3", "1", "2", 2): "state,count\n2,1044\n3,4130\n4,8290\n5,4920\n",
-    ("2", "3", "1", "2", 37): "state,count\n37,686\n38,4048\n39,8161\n40,5489\n",
-    ("2", "3", "1", "composite", 0): "state,count\n0,2734\n1,6314\n2,7028\n3,2308\n",
-    ("2", "3", "1", "composite", 1): "state,count\n0,1268\n1,3564\n2,6816\n3,5007\n4,1729\n",
-    ("2", "3", "1", "composite", 2): (
-        "state,count\n0,535\n1,1734\n2,5015\n"
-        "3,5745\n4,4205\n5,1150\n"
-    ),
-    ("2", "3", "1", "composite", 37): (
-        "state,count\n31,1\n32,20\n33,124\n"
-        "34,538\n35,1762\n36,3632\n37,4918\n"
-        "38,4503\n39,2340\n40,546\n"
-    ),
-    ("1000003", "999983", "5", "composite", 37): (
-        "state,count\n31,1\n32,8\n33,78\n"
-        "34,391\n35,1344\n36,3276\n37,4906\n"
-        "38,4881\n39,2773\n40,726\n"
-    ),
-}
-
-
-# simulate trajectory stdout for --M 2 --N 3 --gamma 1 --initial 4
-# --steps 3 --trials 3 --seed 2024, recorded when trajectory mode moved
-# onto the vectorized lanes: any change in how it consumes draws shows here
-PINNED_TRAJECTORY = """\
-trial,step,sub_step,state
-0,0,0,4
-0,1,1,4
-0,1,2,5
-0,2,1,5
-0,2,2,6
-0,3,1,5
-0,3,2,6
-1,0,0,4
-1,1,1,3
-1,1,2,4
-1,2,1,3
-1,2,2,4
-1,3,1,4
-1,3,2,5
-2,0,0,4
-2,1,1,2
-2,1,2,3
-2,2,1,1
-2,2,2,2
-2,3,1,2
-2,3,2,2
-"""
-
-
-# verify and graph stdout and exit code per case, recorded before the
-# banded matrices were built from their band rows: any change in the
-# factors, their product, the direct chain or the JSON envelope shows here
-EXACT = ("--M", "2", "--N", "3", "--gamma", "1")
-FLOAT = ("--alpha", "0.9", "--beta", "0.1", "--gamma", "0.5")
-PINNED_VERIFY_GRAPH = {
-    "verify-exact": (("verify", *EXACT, "--T", "5"), 0, """\
-{
-  "checks": [
-    {
-      "detail": "x+y = 1 and t+r+s = 1",
-      "max_deviation": 0.0,
-      "name": "coefficient_row_sums",
-      "passed": true
-    },
-    {
-      "detail": "all coefficients within [0, 1]",
-      "max_deviation": 0.0,
-      "name": "coefficient_bounds",
-      "passed": true
-    },
-    {
-      "detail": "t_0 = t_1 = r_0 = 0 and s_0 = 1",
-      "max_deviation": 0.0,
-      "name": "boundary_values",
-      "passed": true
-    },
-    {
-      "detail": "product bandwidths (lower, upper) = (2, 1)",
-      "max_deviation": 0.0,
-      "name": "band_structure",
-      "passed": true
-    },
-    {
-      "detail": "interior factor rows sum to 1",
-      "max_deviation": 0.0,
-      "name": "factor_row_sums",
-      "passed": true
-    },
-    {
-      "detail": "product vs direct rows 0..2",
-      "max_deviation": 0.0,
-      "name": "lu_identity",
-      "passed": true
-    },
-    {
-      "detail": "interior product rows sum to 1",
-      "max_deviation": 0.0,
-      "name": "product_row_sums",
-      "passed": true
-    }
-  ],
-  "command": "verify",
-  "kind": "exact",
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "passed": true,
-  "schema": "1",
-  "size": 5,
-  "tolerance": 0.0
-}
-"""),
-    "verify-float": (("verify", *FLOAT, "--T", "5"), 0, """\
-{
-  "checks": [
-    {
-      "detail": "x+y = 1 and t+r+s = 1",
-      "max_deviation": 1.1102230246251565e-16,
-      "name": "coefficient_row_sums",
-      "passed": true
-    },
-    {
-      "detail": "all coefficients within [0, 1]",
-      "max_deviation": 0.0,
-      "name": "coefficient_bounds",
-      "passed": true
-    },
-    {
-      "detail": "t_0 = t_1 = r_0 = 0 and s_0 = 1",
-      "max_deviation": 0.0,
-      "name": "boundary_values",
-      "passed": true
-    },
-    {
-      "detail": "product bandwidths (lower, upper) = (2, 1)",
-      "max_deviation": 0.0,
-      "name": "band_structure",
-      "passed": true
-    },
-    {
-      "detail": "interior factor rows sum to 1",
-      "max_deviation": 1.1102230246251565e-16,
-      "name": "factor_row_sums",
-      "passed": true
-    },
-    {
-      "detail": "product vs direct rows 0..2",
-      "max_deviation": 0.0,
-      "name": "lu_identity",
-      "passed": true
-    },
-    {
-      "detail": "interior product rows sum to 1",
-      "max_deviation": 1.1102230246251565e-16,
-      "name": "product_row_sums",
-      "passed": true
-    }
-  ],
-  "command": "verify",
-  "kind": "float",
-  "parameters": {
-    "alpha": 0.9,
-    "beta": 0.1,
-    "form": "general",
-    "gamma": 0.5
-  },
-  "passed": true,
-  "schema": "1",
-  "size": 5,
-  "tolerance": 1e-12
-}
-"""),
-    "verify-float-tolerance-0": (("verify", *FLOAT, "--T", "5", "--tolerance", "0"), 3, """\
-{
-  "checks": [
-    {
-      "detail": "x+y = 1 and t+r+s = 1",
-      "max_deviation": 1.1102230246251565e-16,
-      "name": "coefficient_row_sums",
-      "passed": false
-    },
-    {
-      "detail": "all coefficients within [0, 1]",
-      "max_deviation": 0.0,
-      "name": "coefficient_bounds",
-      "passed": true
-    },
-    {
-      "detail": "t_0 = t_1 = r_0 = 0 and s_0 = 1",
-      "max_deviation": 0.0,
-      "name": "boundary_values",
-      "passed": true
-    },
-    {
-      "detail": "product bandwidths (lower, upper) = (2, 1)",
-      "max_deviation": 0.0,
-      "name": "band_structure",
-      "passed": true
-    },
-    {
-      "detail": "interior factor rows sum to 1",
-      "max_deviation": 1.1102230246251565e-16,
-      "name": "factor_row_sums",
-      "passed": false
-    },
-    {
-      "detail": "product vs direct rows 0..2",
-      "max_deviation": 0.0,
-      "name": "lu_identity",
-      "passed": true
-    },
-    {
-      "detail": "interior product rows sum to 1",
-      "max_deviation": 1.1102230246251565e-16,
-      "name": "product_row_sums",
-      "passed": false
-    }
-  ],
-  "command": "verify",
-  "kind": "float",
-  "parameters": {
-    "alpha": 0.9,
-    "beta": 0.1,
-    "form": "general",
-    "gamma": 0.5
-  },
-  "passed": false,
-  "schema": "1",
-  "size": 5,
-  "tolerance": 0.0
-}
-"""),
-    # a float product row sum whose deviation depends on the order in
-    # which the band row is summed
-    "verify-float-400": (("verify", "--alpha", "2.764865653478637", "--beta", "2.1033914251575667",
-                          "--gamma", "2.227272722347545", "--T", "400", "--tolerance", "0"), 3, """\
-{
-  "checks": [
-    {
-      "detail": "x+y = 1 and t+r+s = 1",
-      "max_deviation": 2.220446049250313e-16,
-      "name": "coefficient_row_sums",
-      "passed": false
-    },
-    {
-      "detail": "all coefficients within [0, 1]",
-      "max_deviation": 0.0,
-      "name": "coefficient_bounds",
-      "passed": true
-    },
-    {
-      "detail": "t_0 = t_1 = r_0 = 0 and s_0 = 1",
-      "max_deviation": 0.0,
-      "name": "boundary_values",
-      "passed": true
-    },
-    {
-      "detail": "product bandwidths (lower, upper) = (2, 1)",
-      "max_deviation": 0.0,
-      "name": "band_structure",
-      "passed": true
-    },
-    {
-      "detail": "interior factor rows sum to 1",
-      "max_deviation": 2.220446049250313e-16,
-      "name": "factor_row_sums",
-      "passed": false
-    },
-    {
-      "detail": "product vs direct rows 0..397",
-      "max_deviation": 0.0,
-      "name": "lu_identity",
-      "passed": true
-    },
-    {
-      "detail": "interior product rows sum to 1",
-      "max_deviation": 4.440892098500626e-16,
-      "name": "product_row_sums",
-      "passed": false
-    }
-  ],
-  "command": "verify",
-  "kind": "float",
-  "parameters": {
-    "alpha": 2.764865653478637,
-    "beta": 2.1033914251575667,
-    "form": "general",
-    "gamma": 2.227272722347545
-  },
-  "passed": false,
-  "schema": "1",
-  "size": 400,
-  "tolerance": 0.0
-}
-"""),
-    "graph-P": (("graph", *EXACT, "--which", "P", "--T", "4"), 0, """\
-digraph P {
-  rankdir=LR;
-  0;
-  1;
-  2;
-  3;
-  0 -> 0 [label="3/7"];
-  0 -> 1 [label="4/7"];
-  1 -> 0 [label="2/21"];
-  1 -> 1 [label="100/273"];
-  1 -> 2 [label="7/13"];
-  2 -> 0 [label="2/99"];
-  2 -> 1 [label="595/5148"];
-  2 -> 2 [label="71/156"];
-  2 -> 3 [label="9/22"];
-  3 -> 1 [label="15/1976"];
-  3 -> 2 [label="917/5928"];
-  3 -> 3 [label="5/12"];
-}
-"""),
-    "graph-PL": (("graph", *EXACT, "--which", "PL", "--T", "4"), 0, """\
-digraph PL {
-  rankdir=LR;
-  0;
-  1;
-  2;
-  3;
-  0 -> 0 [label="1"];
-  1 -> 0 [label="2/9"];
-  1 -> 1 [label="7/9"];
-  2 -> 0 [label="14/297"];
-  2 -> 1 [label="1369/4752"];
-  2 -> 2 [label="117/176"];
-  3 -> 1 [label="15/608"];
-  3 -> 2 [label="3263/9120"];
-  3 -> 3 [label="176/285"];
-}
-"""),
-    "graph-PU": (("graph", *EXACT, "--which", "PU", "--T", "4"), 0, """\
-digraph PU {
-  rankdir=LR;
-  0;
-  1;
-  2;
-  3;
-  0 -> 0 [label="3/7"];
-  0 -> 1 [label="4/7"];
-  1 -> 1 [label="4/13"];
-  1 -> 2 [label="9/13"];
-  2 -> 2 [label="5/13"];
-  2 -> 3 [label="8/13"];
-  3 -> 3 [label="7/22"];
-}
-"""),
-}
-
-
-# JSON table stdout and exit code per case, recorded while the JSON
-# envelope was still dumped as one string, before tables were written
-# row by row: any change in a table's bytes shows here
-JSON = ("--format", "json")
-PINNED_JSON = {
-    "coeffs-exact": (("coeffs", *EXACT, "--n-max", "1", *JSON), 0, """\
-{
-  "command": "coeffs",
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [
-    {
-      "a": "4/7",
-      "b": "3/7",
-      "c": null,
-      "d": null,
-      "n": 0,
-      "r": "0",
-      "s": "1",
-      "t": "0",
-      "x": "4/7",
-      "y": "3/7"
-    },
-    {
-      "a": "7/13",
-      "b": "100/273",
-      "c": "2/21",
-      "d": null,
-      "n": 1,
-      "r": "2/9",
-      "s": "7/9",
-      "t": "0",
-      "x": "9/13",
-      "y": "4/13"
-    }
-  ],
-  "schema": "1"
-}
-"""),
-    "coeffs-float": (("coeffs", *FLOAT, "--n-max", "1", *JSON), 0, """\
-{
-  "command": "coeffs",
-  "parameters": {
-    "alpha": 0.9,
-    "beta": 0.1,
-    "form": "general",
-    "gamma": 0.5
-  },
-  "rows": [
-    {
-      "a": 0.4411764705882353,
-      "b": 0.5588235294117647,
-      "c": null,
-      "d": null,
-      "n": 0,
-      "r": 0.0,
-      "s": 1.0,
-      "t": 0.0,
-      "x": 0.4411764705882353,
-      "y": 0.5588235294117647
-    },
-    {
-      "a": 0.5366161616161615,
-      "b": 0.33637849079025545,
-      "c": 0.1270053475935829,
-      "d": null,
-      "n": 1,
-      "r": 0.22727272727272727,
-      "s": 0.7727272727272726,
-      "t": 0.0,
-      "x": 0.6944444444444444,
-      "y": 0.3055555555555556
-    }
-  ],
-  "schema": "1"
-}
-"""),
-    "poly-exact": (("poly", *EXACT, "--n-max", "1", "--x", "1", "--x", "3/4", *JSON), 0, """\
-{
-  "command": "poly",
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [
-    {
-      "n": 0,
-      "q": 1,
-      "x": "1"
-    },
-    {
-      "n": 1,
-      "q": "1",
-      "x": "1"
-    },
-    {
-      "n": 0,
-      "q": 1,
-      "x": "3/4"
-    },
-    {
-      "n": 1,
-      "q": "9/16",
-      "x": "3/4"
-    }
-  ],
-  "schema": "1"
-}
-"""),
-    "poly-float": (("poly", *FLOAT, "--n-max", "1", "--x", "1", "--x", "3/4", *JSON), 0, """\
-{
-  "command": "poly",
-  "parameters": {
-    "alpha": 0.9,
-    "beta": 0.1,
-    "form": "general",
-    "gamma": 0.5
-  },
-  "rows": [
-    {
-      "n": 0,
-      "q": 1.0,
-      "x": 1.0
-    },
-    {
-      "n": 1,
-      "q": 1.0,
-      "x": 1.0
-    },
-    {
-      "n": 0,
-      "q": 1.0,
-      "x": 0.75
-    },
-    {
-      "n": 1,
-      "q": 0.4333333333333333,
-      "x": 0.75
-    }
-  ],
-  "schema": "1"
-}
-"""),
-    "simulate-composite": ((
-        "simulate", *EXACT, "--initial", "4", "--steps", "1", "--trials", "2", "--seed", "2024",
-        *JSON,
-    ), 0, """\
-{
-  "command": "simulate",
-  "experiment": "composite",
-  "initial": 4,
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [
-    {
-      "state": 4,
-      "step": 0,
-      "sub_step": 0,
-      "trial": 0
-    },
-    {
-      "state": 3,
-      "step": 1,
-      "sub_step": 1,
-      "trial": 0
-    },
-    {
-      "state": 4,
-      "step": 1,
-      "sub_step": 2,
-      "trial": 0
-    },
-    {
-      "state": 4,
-      "step": 0,
-      "sub_step": 0,
-      "trial": 1
-    },
-    {
-      "state": 4,
-      "step": 1,
-      "sub_step": 1,
-      "trial": 1
-    },
-    {
-      "state": 5,
-      "step": 1,
-      "sub_step": 2,
-      "trial": 1
-    }
-  ],
-  "schema": "1",
-  "seed": 2024,
-  "steps": 1,
-  "trials": 2
-}
-"""),
-    "simulate-experiment-1": ((
-        "simulate", *EXACT, "--experiment", "1", "--initial", "4", "--steps", "2",
-        "--trials", "1", "--seed", "2024", *JSON,
-    ), 0, """\
-{
-  "command": "simulate",
-  "experiment": "1",
-  "initial": 4,
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [
-    {
-      "state": 4,
-      "step": 0,
-      "sub_step": 0,
-      "trial": 0
-    },
-    {
-      "state": 4,
-      "step": 1,
-      "sub_step": 1,
-      "trial": 0
-    },
-    {
-      "state": 3,
-      "step": 2,
-      "sub_step": 1,
-      "trial": 0
-    }
-  ],
-  "schema": "1",
-  "seed": 2024,
-  "steps": 2,
-  "trials": 1
-}
-"""),
-    "simulate-aggregate": ((
-        "simulate", *EXACT, "--initial", "4", "--steps", "3", "--trials", "100", "--seed", "2024",
-        "--aggregate", *JSON,
-    ), 0, """\
-{
-  "command": "simulate",
-  "counts": [
-    {
-      "count": 6,
-      "state": 2
-    },
-    {
-      "count": 12,
-      "state": 3
-    },
-    {
-      "count": 23,
-      "state": 4
-    },
-    {
-      "count": 33,
-      "state": 5
-    },
-    {
-      "count": 24,
-      "state": 6
-    },
-    {
-      "count": 2,
-      "state": 7
-    }
-  ],
-  "experiment": "composite",
-  "initial": 4,
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "schema": "1",
-  "seed": 2024,
-  "steps": 3,
-  "trials": 100
-}
-"""),
-    "simulate-no-trials": (("simulate", *EXACT, "--trials", "0", *JSON), 0, """\
-{
-  "command": "simulate",
-  "experiment": "composite",
-  "initial": 0,
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [],
-  "schema": "1",
-  "seed": 19024,
-  "steps": 1,
-  "trials": 0
-}
-"""),
-    "compare": ((
-        "compare", *EXACT, "--initial", "1", "--trials", "1000", "--seed", "7", *JSON,
-    ), 0, """\
-{
-  "command": "compare",
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [
-    {
-      "chi_square": 0.3089085714285727,
-      "chi_square_0999": 13.815510557964274,
-      "dof": 2,
-      "initial": 1,
-      "ok": true,
-      "trials": 1000,
-      "tv_distance": 0.007699633699633682
-    }
-  ],
-  "schema": "1",
-  "seed": 7,
-  "trials": 1000
-}
-"""),
-}
-
-
-# simulate trajectory stdout per case (the flags after simulate --M 2 --N 3
-# --gamma 1 --seed 2024), recorded while every cell was still encoded
-# one by one: experiments 1 and 2 beside PINNED_JSON's experiment 1 and
-# no-trials cases, a start at the int64 limit with no step, and a CSV
-# with no trial
-PINNED_TRAJECTORY_TABLES = {
-    "experiment-1-csv": (
-        ("--experiment", "1", "--initial", "4", "--steps", "3", "--trials", "2"), """\
-trial,step,sub_step,state
-0,0,0,4
-0,1,1,3
-0,2,1,3
-0,3,1,2
-1,0,0,4
-1,1,1,4
-1,2,1,3
-1,3,1,2
-"""),
-    "experiment-2-csv": (
-        ("--experiment", "2", "--initial", "4", "--steps", "3", "--trials", "2"), """\
-trial,step,sub_step,state
-0,0,0,4
-0,1,1,4
-0,2,1,5
-0,3,1,6
-1,0,0,4
-1,1,1,4
-1,2,1,5
-1,3,1,6
-"""),
-    "experiment-2-json": ((
-        "--experiment", "2", "--initial", "4", "--steps", "1", "--trials", "2", *JSON,
-    ), """\
-{
-  "command": "simulate",
-  "experiment": "2",
-  "initial": 4,
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [
-    {
-      "state": 4,
-      "step": 0,
-      "sub_step": 0,
-      "trial": 0
-    },
-    {
-      "state": 4,
-      "step": 1,
-      "sub_step": 1,
-      "trial": 0
-    },
-    {
-      "state": 4,
-      "step": 0,
-      "sub_step": 0,
-      "trial": 1
-    },
-    {
-      "state": 4,
-      "step": 1,
-      "sub_step": 1,
-      "trial": 1
-    }
-  ],
-  "schema": "1",
-  "seed": 2024,
-  "steps": 1,
-  "trials": 2
-}
-"""),
-    "steps-0-json": (("--initial", str(2**63 - 1), "--steps", "0", "--trials", "2", *JSON), """\
-{
-  "command": "simulate",
-  "experiment": "composite",
-  "initial": 9223372036854775807,
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [
-    {
-      "state": 9223372036854775807,
-      "step": 0,
-      "sub_step": 0,
-      "trial": 0
-    },
-    {
-      "state": 9223372036854775807,
-      "step": 0,
-      "sub_step": 0,
-      "trial": 1
-    }
-  ],
-  "schema": "1",
-  "seed": 2024,
-  "steps": 0,
-  "trials": 2
-}
-"""),
-    "trials-0-csv": (("--initial", "4", "--steps", "3", "--trials", "0"), """\
-trial,step,sub_step,state
-"""),
-}
-
-# compare stdout per format, recorded while compare still read each
-# start's law from the coefficient rows 0..max(--initial): states 5000
-# and 200000 lie far above the bench's, and at state 2 a law summed in
-# another end-state order gives other last bits of the chi-square
-COMPARE_STARTS = (
-    "compare", *EXACT, "--initial", "2", "--initial", "5000", "--initial", "200000",
-    "--trials", "2000",
-)
-PINNED_COMPARE = {
-    "csv": """\
-initial,trials,tv_distance,chi_square,dof,chi_square_0999,ok
-2,2000,0.0077191142191142016,3.5646274115279892,3,16.266236196238129,True
-5000,2000,0.010670397943478316,4.3369488596180847,3,16.266236196238129,True
-200000,2000,0.0087570370542751214,1.5152743060184763,3,16.266236196238129,True
-""",
-    "json": """\
-{
-  "command": "compare",
-  "parameters": {
-    "M": 2,
-    "N": 3,
-    "form": "integer",
-    "gamma": 1
-  },
-  "rows": [
-    {
-      "chi_square": 3.5646274115279892,
-      "chi_square_0999": 16.26623619623813,
-      "dof": 3,
-      "initial": 2,
-      "ok": true,
-      "trials": 2000,
-      "tv_distance": 0.007719114219114202
-    },
-    {
-      "chi_square": 4.336948859618085,
-      "chi_square_0999": 16.26623619623813,
-      "dof": 3,
-      "initial": 5000,
-      "ok": true,
-      "trials": 2000,
-      "tv_distance": 0.010670397943478316
-    },
-    {
-      "chi_square": 1.5152743060184763,
-      "chi_square_0999": 16.26623619623813,
-      "dof": 3,
-      "initial": 200000,
-      "ok": true,
-      "trials": 2000,
-      "tv_distance": 0.008757037054275121
-    }
-  ],
-  "schema": "1",
-  "seed": 19024,
-  "trials": 2000
-}
-""",
-}
-
-
-# one value past each input gate that main checks before a command
-# runs: the urn form, then the command's flag bounds in the order it
-# declares them (the first bad flag is named, and a --T bound comes
-# before verify's own --tolerance check)
-URN_FORM = ["--M", "2", "--N", "3", "--gamma", "1"]
-GENERAL_FORM = ["--alpha", "0.5", "--beta", "0.3", "--gamma", "1"]
-INPUT_GATES = {
-    "coeffs --n-max": (
-        ["coeffs", *URN_FORM, "--n-max", "-1"],
-        "error: invalid parameters: --n-max must be >= 0\n",
-    ),
-    "poly --n-max": (
-        ["poly", *URN_FORM, "--n-max", "-1"],
-        "error: invalid parameters: --n-max must be >= 0\n",
-    ),
-    "verify --T": (
-        ["verify", *URN_FORM, "--T", "0"],
-        "error: invalid parameters: --T must be >= 1\n",
-    ),
-    "graph --T": (
-        ["graph", *URN_FORM, "--T", "0"],
-        "error: invalid parameters: --T must be >= 1\n",
-    ),
-    "simulate --initial": (
-        ["simulate", *URN_FORM, "--initial", "-1"],
-        "error: invalid parameters: --initial must be >= 0\n",
-    ),
-    "simulate --steps": (
-        ["simulate", *URN_FORM, "--steps", "-1"],
-        "error: invalid parameters: --steps must be >= 0\n",
-    ),
-    "simulate --trials": (
-        ["simulate", *URN_FORM, "--trials", "-1"],
-        "error: invalid parameters: --trials must be >= 0\n",
-    ),
-    "simulate --threads": (
-        ["simulate", *URN_FORM, "--threads", "0"],
-        "error: invalid parameters: --threads must be >= 1\n",
-    ),
-    "simulate --seed": (
-        ["simulate", *URN_FORM, "--seed", "-1"],
-        "error: invalid parameters: --seed must be >= 0\n",
-    ),
-    "compare --initial": (
-        ["compare", *URN_FORM, "--initial", "3", "--initial", "-2"],
-        "error: invalid parameters: --initial must be >= 0\n",
-    ),
-    "compare --trials": (
-        ["compare", *URN_FORM, "--trials", "0"],
-        "error: invalid parameters: --trials must be >= 1\n",
-    ),
-    "compare --threads": (
-        ["compare", *URN_FORM, "--threads", "0"],
-        "error: invalid parameters: --threads must be >= 1\n",
-    ),
-    "compare --seed": (
-        ["compare", *URN_FORM, "--seed", "-1"],
-        "error: invalid parameters: --seed must be >= 0\n",
-    ),
-    "simulate general form": (
-        ["simulate", *GENERAL_FORM],
-        "error: invalid parameters: this command simulates urns and requires --M/--N/--gamma\n",
-    ),
-    "compare general form": (
-        ["compare", *GENERAL_FORM],
-        "error: invalid parameters: this command simulates urns and requires --M/--N/--gamma\n",
-    ),
-    "simulate two bad flags": (
-        ["simulate", *URN_FORM, "--threads", "0", "--seed", "-1"],
-        "error: invalid parameters: --threads must be >= 1\n",
-    ),
-    "verify --T and --tolerance": (
-        ["verify", *URN_FORM, "--T", "0", "--tolerance", "nan"],
-        "error: invalid parameters: --T must be >= 1\n",
-    ),
-}
-
-# the seven --help texts at COLUMNS=80, as Python 3.11 prints them
-# (3.10 names the "options:" group "optional arguments:")
-PINNED_HELP = {
-    "urnchain": """\
-usage: urnchain [-h] {coeffs,verify,simulate,compare,poly,graph} ...
-
-Pentadiagonal urn-model Markov chain: exact coefficients, stochastic LU
-verification, ball-level simulation and statistics.
-
-positional arguments:
-  {coeffs,verify,simulate,compare,poly,graph}
-    coeffs              coefficient and transition-row table
-    verify              factorization and invariant checks (JSON report)
-    simulate            run urn experiments (integer form only)
-    compare             empirical composite-step law vs exact row (integer
-                        form only)
-    poly                polynomial values via the four-band recursion
-    graph               transition digraph in DOT format
-
-options:
-  -h, --help            show this help message and exit
-""",
-    "coeffs": """\
-usage: urnchain coeffs [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
-                       [--M M] [--N N] [--format {csv,json}] [--output OUTPUT]
-                       [--n-max N_MAX]
-
-options:
-  -h, --help           show this help message and exit
-  --format {csv,json}  output format (default csv)
-  --output OUTPUT      write to this path instead of stdout
-  --n-max N_MAX        largest state index (default 10)
-
-parameters (choose one form):
-  --alpha ALPHA        general form: alpha > -1
-  --beta BETA          general form: beta > -1, |alpha - beta| < 1
-  --gamma GAMMA        shared by both forms: real > -1 with --alpha/--beta,
-                       integer >= 0 with --M/--N
-  --M M                integer form: alpha = 1/M, M >= 1
-  --N N                integer form: beta = 1/N, N >= 1
-""",
-    "verify": """\
-usage: urnchain verify [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
-                       [--M M] [--N N] [--output OUTPUT] [--T T]
-                       [--tolerance TOLERANCE]
-
-options:
-  -h, --help            show this help message and exit
-  --output OUTPUT       write to this path instead of stdout
-  --T T                 truncation dimension (default 200)
-  --tolerance TOLERANCE
-                        override the per-entry tolerance (default: exact for
-                        --M/--N, 1e-12 otherwise)
-
-parameters (choose one form):
-  --alpha ALPHA         general form: alpha > -1
-  --beta BETA           general form: beta > -1, |alpha - beta| < 1
-  --gamma GAMMA         shared by both forms: real > -1 with --alpha/--beta,
-                        integer >= 0 with --M/--N
-  --M M                 integer form: alpha = 1/M, M >= 1
-  --N N                 integer form: beta = 1/N, N >= 1
-""",
-    "simulate": """\
-usage: urnchain simulate [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
-                         [--M M] [--N N] [--format {csv,json}]
-                         [--output OUTPUT] [--experiment {1,2,composite}]
-                         [--initial INITIAL] [--steps STEPS] [--trials TRIALS]
-                         [--seed SEED] [--threads THREADS] [--aggregate]
-
-options:
-  -h, --help            show this help message and exit
-  --format {csv,json}   output format (default csv)
-  --output OUTPUT       write to this path instead of stdout
-  --experiment {1,2,composite}
-                        which step to run (default composite: experiment 1
-                        then 2)
-  --initial INITIAL     start state (default 0)
-  --steps STEPS         steps per trial (default 1)
-  --trials TRIALS       independent trials (default 1)
-  --seed SEED           RNG seed; fixed default 0x4a50 keeps bare runs
-                        reproducible
-  --threads THREADS     worker threads (result-invariant)
-  --aggregate           emit end-state counts instead of full trajectories
-
-parameters (choose one form):
-  --alpha ALPHA         general form: alpha > -1
-  --beta BETA           general form: beta > -1, |alpha - beta| < 1
-  --gamma GAMMA         shared by both forms: real > -1 with --alpha/--beta,
-                        integer >= 0 with --M/--N
-  --M M                 integer form: alpha = 1/M, M >= 1
-  --N N                 integer form: beta = 1/N, N >= 1
-""",
-    "compare": """\
-usage: urnchain compare [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
-                        [--M M] [--N N] [--format {csv,json}]
-                        [--output OUTPUT] [--initial INITIAL]
-                        [--trials TRIALS] [--seed SEED] [--threads THREADS]
-
-options:
-  -h, --help           show this help message and exit
-  --format {csv,json}  output format (default csv)
-  --output OUTPUT      write to this path instead of stdout
-  --initial INITIAL    start state; repeatable (default 0)
-  --trials TRIALS      trials per state (default 100000)
-  --seed SEED          RNG seed; fixed default 0x4a50 keeps bare runs
-                       reproducible
-  --threads THREADS    worker threads (result-invariant)
-
-parameters (choose one form):
-  --alpha ALPHA        general form: alpha > -1
-  --beta BETA          general form: beta > -1, |alpha - beta| < 1
-  --gamma GAMMA        shared by both forms: real > -1 with --alpha/--beta,
-                       integer >= 0 with --M/--N
-  --M M                integer form: alpha = 1/M, M >= 1
-  --N N                integer form: beta = 1/N, N >= 1
-""",
-    "poly": """\
-usage: urnchain poly [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
-                     [--M M] [--N N] [--format {csv,json}] [--output OUTPUT]
-                     [--n-max N_MAX] [--x X]
-
-options:
-  -h, --help           show this help message and exit
-  --format {csv,json}  output format (default csv)
-  --output OUTPUT      write to this path instead of stdout
-  --n-max N_MAX        largest polynomial index (default 10)
-  --x X                evaluation point, rational like 1 or 3/4; repeatable
-                       (default 1)
-
-parameters (choose one form):
-  --alpha ALPHA        general form: alpha > -1
-  --beta BETA          general form: beta > -1, |alpha - beta| < 1
-  --gamma GAMMA        shared by both forms: real > -1 with --alpha/--beta,
-                       integer >= 0 with --M/--N
-  --M M                integer form: alpha = 1/M, M >= 1
-  --N N                integer form: beta = 1/N, N >= 1
-""",
-    "graph": """\
-usage: urnchain graph [-h] [--alpha ALPHA] [--beta BETA] [--gamma GAMMA]
-                      [--M M] [--N N] [--format {dot}] [--output OUTPUT]
-                      [--which {P,PL,PU}] [--T T]
-
-options:
-  -h, --help         show this help message and exit
-  --format {dot}     output format (default dot)
-  --output OUTPUT    write to this path instead of stdout
-  --which {P,PL,PU}  composite chain (P), pure-death factor (PL) or pure-birth
-                     factor (PU)
-  --T T              number of states drawn (default 6)
-
-parameters (choose one form):
-  --alpha ALPHA      general form: alpha > -1
-  --beta BETA        general form: beta > -1, |alpha - beta| < 1
-  --gamma GAMMA      shared by both forms: real > -1 with --alpha/--beta,
-                     integer >= 0 with --M/--N
-  --M M              integer form: alpha = 1/M, M >= 1
-  --N N              integer form: beta = 1/N, N >= 1
-""",
-}
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -1452,12 +334,8 @@ class TestSimulate:
             f"{state},{count}\n" for state, count in sorted(ends.items())
         )
 
-    def test_trajectory_output_is_pinned(self, capsys):
-        code, out, _ = run_cli(
-            capsys, *self.ARGS, "--steps", "3", "--trials", "3", "--seed", "2024"
-        )
-        assert code == 0
-        assert out == PINNED_TRAJECTORY
+    def test_trajectory_output_is_pinned(self):
+        replay("trajectory/pinned")
 
     @pytest.mark.parametrize("block_rows", [1, 5, 2048])
     def test_trajectory_pieces_follow_the_paths(self, monkeypatch, block_rows):
@@ -1505,14 +383,9 @@ class TestSimulate:
             indent=2, sort_keys=True,
         ) + "\n"
 
-    @pytest.mark.parametrize("case", list(PINNED_TRAJECTORY_TABLES))
-    def test_trajectory_table_is_pinned(self, tmp_path, capsys, case):
-        flags, expected = PINNED_TRAJECTORY_TABLES[case]
-        argv = ("simulate", *EXACT, "--seed", "2024", *flags)
-        assert run_cli(capsys, *argv) == (0, expected, "")
-        path = tmp_path / "paths.txt"
-        assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
-        assert path.read_bytes() == expected.encode()
+    @pytest.mark.parametrize("case", names("trajectory-table"))
+    def test_trajectory_table_is_pinned(self, tmp_path, case):
+        replay(f"trajectory-table/{case}", output=tmp_path / "paths.txt")
 
     @pytest.mark.parametrize("aggregate", [["--aggregate"], []])
     def test_urn_above_int64_limit_exits_two(self, capsys, aggregate):
@@ -1560,21 +433,9 @@ class TestSimulate:
         assert code == 0 and err == ""
         assert out.startswith("state,count\n" if aggregate else "trial,step,sub_step,state\n")
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize(
-        "case", list(PINNED_AGGREGATE), ids=lambda case: "-".join(map(str, case))
-    )
-    def test_aggregate_output_is_pinned(self, capsys, case, threads):
-        # two chunks, so --threads 2 runs them in parallel
-        M, N, gamma, experiment, initial = case
-        code, out, _ = run_cli(
-            capsys, "simulate", "--M", M, "--N", N, "--gamma", gamma,
-            "--experiment", experiment, "--initial", str(initial), "--steps", "3",
-            "--trials", str(CHUNK_TRIALS + 2000), "--seed", "2024", "--threads", threads,
-            "--aggregate",
-        )
-        assert code == 0
-        assert out == PINNED_AGGREGATE[case]
+    @pytest.mark.parametrize("case", names("aggregate"))
+    def test_aggregate_output_is_pinned(self, case):
+        replay(f"aggregate/{case}")
 
     def test_json_output_shape(self, capsys):
         code, out, _ = run_cli(
@@ -1690,21 +551,13 @@ class TestInputValidation:
 
 
 class TestInputGates:
-    @pytest.mark.parametrize("case", list(INPUT_GATES))
-    def test_exits_two_naming_the_first_bad_input(self, capsys, case):
-        argv, expected_err = INPUT_GATES[case]
-        assert run_cli(capsys, *argv) == (2, "", expected_err)
+    @pytest.mark.parametrize("case", names("gate"))
+    def test_exits_two_naming_the_first_bad_input(self, case):
+        replay(f"gate/{case}")
 
-    @pytest.mark.parametrize("command", list(PINNED_HELP))
-    def test_help_is_pinned(self, monkeypatch, capsys, command):
-        # argparse wraps help text to the terminal width
-        monkeypatch.setenv("COLUMNS", "80")
-        argv = ["--help"] if command == "urnchain" else [command, "--help"]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        out, err = capsys.readouterr()
-        assert (exit_info.value.code, err) == (0, "")
-        assert out.replace("optional arguments:", "options:") == PINNED_HELP[command]
+    @pytest.mark.parametrize("command", names("help"))
+    def test_help_is_pinned(self, command):
+        replay(f"help/{command}")
 
 
 class TestGraph:
@@ -1746,23 +599,20 @@ class TestGraph:
 
 
 class TestPinnedOutput:
-    @pytest.mark.parametrize("case", list(PINNED_VERIFY_GRAPH))
-    def test_verify_and_graph_output_is_pinned(self, capsys, case):
-        argv, expected_code, expected_out = PINNED_VERIFY_GRAPH[case]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (expected_code, expected_out, "")
+    """Corpus cases (tests/golden) under the names their bytes were first
+    pinned with in this file."""
 
-    @pytest.mark.parametrize("case", list(PINNED_JSON))
-    def test_json_table_output_is_pinned(self, tmp_path, capsys, case):
-        argv, expected_code, expected_out = PINNED_JSON[case]
-        assert run_cli(capsys, *argv) == (expected_code, expected_out, "")
-        path = tmp_path / "table.json"
-        assert run_cli(capsys, *argv, "--output", str(path)) == (expected_code, "", "")
-        assert path.read_bytes() == expected_out.encode()
+    @pytest.mark.parametrize("case", names("verify-graph"))
+    def test_verify_and_graph_output_is_pinned(self, case):
+        replay(f"verify-graph/{case}")
 
-    @pytest.mark.parametrize("fmt", list(PINNED_COMPARE))
-    def test_compare_output_is_pinned(self, capsys, fmt):
-        assert run_cli(capsys, *COMPARE_STARTS, "--format", fmt) == (0, PINNED_COMPARE[fmt], "")
+    @pytest.mark.parametrize("case", names("json-table"))
+    def test_json_table_output_is_pinned(self, tmp_path, case):
+        replay(f"json-table/{case}", output=tmp_path / "table.json")
+
+    @pytest.mark.parametrize("fmt", names("compare"))
+    def test_compare_output_is_pinned(self, fmt):
+        replay(f"compare/{fmt}")
 
 
 # table cells and field names as the CLI writes them: scalars only, with
@@ -1831,6 +681,99 @@ class TestJsonTable:
         # of the JSON rows peaked at 162 MiB
         assert path.stat().st_size > {"csv": 1_800_000, "json": 13_000_000}[fmt]
         assert peak < 4 << 20
+
+
+# flag values that each parse, fail to parse, or trip a gate: NaN,
+# infinities, a double overflow, a division by zero, a power that is not
+# a literal, a word, and values at and below the bounds
+ODD = ["nan", "inf", "-inf", "1e400", "1/0", "2**63", "x", "-1", "0"]
+
+
+def mostly(valid):
+    """Four times in five a value from ``valid``, else an odd one."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k < 4 else st.sampled_from(ODD))
+
+
+def size(top: int):
+    return mostly(st.integers(0, top).map(str))
+
+
+def choice(*values):
+    return mostly(st.sampled_from(values))
+
+
+# 2**63 written out is a start state or seed that must be refused, or
+# taken, quickly; as a size it would be a run without end
+HUGE = str(2**63)
+FORMS = {
+    "integer": {"--M": choice("1", "2", "7", HUGE), "--N": choice("1", "3", "5"),
+                "--gamma": choice("0", "1", "2", HUGE)},
+    # alpha = beta = 1e308 overflows the float coefficients: exit 1, or 3 in verify
+    "general": {"--alpha": choice("0.5", "-0.5", "2", "1e308"),
+                "--beta": choice("0.3", "-0.5", "1.2", "1e308"),
+                "--gamma": choice("1", "0.5", "-0.5", "0", HUGE)},
+}
+TABLE_FORMATS = choice("csv", "json", "json", "dot")
+SAMPLING_FLAGS = {
+    "--initial": choice("0", "4", "40", HUGE),
+    "--trials": size(50),
+    "--threads": choice("1", "2"),
+    "--seed": choice("7", HUGE),
+    "--format": TABLE_FORMATS,
+}
+COMMAND_FLAGS = {
+    "coeffs": {"--n-max": size(60), "--format": TABLE_FORMATS},
+    "verify": {"--T": size(60), "--tolerance": choice("1e-12", "1e-300")},
+    "simulate": {
+        **SAMPLING_FLAGS, "--steps": size(20),
+        "--experiment": st.sampled_from(["1", "2", "composite", "3"]),
+    },
+    "compare": SAMPLING_FLAGS,
+    "poly": {"--n-max": size(60), "--x": choice("1", "3/4", "-1/2"), "--format": TABLE_FORMATS},
+    "graph": {
+        "--T": size(60), "--which": st.sampled_from(["P", "PL", "PU", "Q"]),
+        "--format": st.sampled_from(["dot", "csv"]),
+    },
+}
+# flags whose defaults make a long run (compare's 100000 trials, verify's
+# T = 200) come first with a small value; a later one overrides it
+LEADING = {"compare": "--trials", "verify": "--T"}
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command, a parameter form (or a mix of both forms' flags) and
+    some of the command's flags, their values mostly ones it takes."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    form = draw(st.sampled_from(["integer", "general", "mixed"]))
+    if form == "mixed":
+        mixed = {**FORMS["integer"], **FORMS["general"]}
+        params = {name: mixed[name] for name in draw(st.sets(st.sampled_from(sorted(mixed))))}
+    else:
+        params = FORMS[form]
+    flags = COMMAND_FLAGS[command]
+    chosen = [*params, *draw(st.lists(st.sampled_from(sorted(flags)), max_size=6))]
+    if command in LEADING:
+        chosen.insert(0, LEADING[command])
+    # --flag=value, so that a value like -inf is never read as a flag
+    argv = [command, *(f"{name}={draw({**flags, **params}[name])}" for name in chosen)]
+    if command == "simulate" and draw(st.booleans()):
+        argv.append("--aggregate")
+    return argv
+
+
+class TestAnyArgv:
+    @settings(max_examples=200, deadline=None)
+    @given(argvs())
+    def test_exit_code_and_streams_follow_the_contract(self, argv):
+        code, out, err = run(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code in (1, 2):
+            assert out == ""
+        formats = [arg.split("=", 1)[1] for arg in argv if arg.startswith("--format=")]
+        if (code == 0 and formats[-1:] == ["json"]) or (argv[0] == "verify" and code in (0, 3)):
+            parse_strict_json(out)
 
 
 class TestEntryPoint:
