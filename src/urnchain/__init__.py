@@ -5,94 +5,49 @@ pure-birth part; each part is realized at the level of individual ball
 draws from urns.  This package computes the transition coefficients
 exactly, verifies the factorization on banded truncations, simulates the
 urn experiments, and compares empirical laws against the exact rows.
-"""
 
-from .analysis import (
-    EmpiricalDistribution,
-    PolynomialEvaluation,
-    chi_square_statistic,
-    chi_square_threshold,
-    evaluate_polynomials,
-    tv_distance,
-)
-from .banded import (
-    BandedMatrix,
-    FactorizationReport,
-    birth_factor,
-    death_factor,
-    multiply,
-    reconstructed_matrix,
-    verify_factorization,
-    verify_lu,
-)
-from .coefficients import (
-    IntegerParameters,
-    LUCoefficients,
-    ParameterError,
-    Parameters,
-    TransitionRow,
-    lu_coefficients,
-    lu_coefficients_integer,
-    reconstruct_row,
-    require_valid,
-    validate_integer_parameters,
-    validate_parameters,
-)
-from .urns import (
-    BLUE,
-    COMPOSITE,
-    RED,
-    RngStream,
-    StepOutcome,
-    Trajectory,
-    composite_distribution,
-    composite_step,
-    enumerate_step_distribution,
-    experiment1_step,
-    experiment2_step,
-    run_trajectory,
-    sample_endpoints,
-)
+Importing the package loads none of its modules: each name of
+``__all__`` is imported from its module at its first access (PEP 562),
+so a command of the CLI loads only the modules it runs, and
+``urnchain --help`` none of them.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BLUE",
-    "BandedMatrix",
-    "COMPOSITE",
-    "EmpiricalDistribution",
-    "FactorizationReport",
-    "IntegerParameters",
-    "LUCoefficients",
-    "ParameterError",
-    "Parameters",
-    "PolynomialEvaluation",
-    "RED",
-    "RngStream",
-    "StepOutcome",
-    "Trajectory",
-    "TransitionRow",
-    "birth_factor",
-    "chi_square_statistic",
-    "chi_square_threshold",
-    "composite_distribution",
-    "composite_step",
-    "death_factor",
-    "enumerate_step_distribution",
-    "evaluate_polynomials",
-    "experiment1_step",
-    "experiment2_step",
-    "lu_coefficients",
-    "lu_coefficients_integer",
-    "multiply",
-    "reconstruct_row",
-    "reconstructed_matrix",
-    "require_valid",
-    "run_trajectory",
-    "sample_endpoints",
-    "tv_distance",
-    "validate_integer_parameters",
-    "validate_parameters",
-    "verify_factorization",
-    "verify_lu",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "analysis": (
+        "EmpiricalDistribution", "PolynomialEvaluation", "chi_square_statistic",
+        "chi_square_threshold", "evaluate_polynomials", "tv_distance",
+    ),
+    "banded": (
+        "BandedMatrix", "FactorizationReport", "birth_factor", "death_factor", "multiply",
+        "reconstructed_matrix", "verify_factorization", "verify_lu",
+    ),
+    "coefficients": (
+        "IntegerParameters", "LUCoefficients", "ParameterError", "Parameters", "TransitionRow",
+        "lu_coefficients", "lu_coefficients_integer", "reconstruct_row", "require_valid",
+        "validate_integer_parameters", "validate_parameters",
+    ),
+    "urns": (
+        "BLUE", "COMPOSITE", "RED", "RngStream", "StepOutcome", "Trajectory",
+        "composite_distribution", "composite_step", "enumerate_step_distribution",
+        "experiment1_step", "experiment2_step", "run_trajectory", "sample_endpoints",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement's own call, which -X importtime reports
+    value = getattr(__import__(_HOME[name], globals(), None, [name], 1), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -88,19 +88,23 @@ class BandedMatrix:
         return i + self.upper_bandwidth < self.size
 
     def scalar_kind(self) -> str:
-        """'float' / 'exact' (contains Fraction) / 'int' (ints only)."""
-        has_float = has_fraction = False
-        for row in self.rows:
-            for value in row:
-                if isinstance(value, float):
-                    has_float = True
-                elif isinstance(value, Fraction):
-                    has_fraction = True
-        if has_float and has_fraction:
-            raise ValueError("matrix mixes float and Fraction entries")
-        if has_float:
-            return "float"
-        return "exact" if has_fraction else "int"
+        """'float' / 'exact' (contains Fraction) / 'int' (ints only).
+        The entries are scanned once, at the first call, and never for a
+        :func:`multiply` product, which takes its factors' kind."""
+        kind = self.__dict__.get("_kind")
+        if kind is None:
+            has_float = has_fraction = False
+            for row in self.rows:
+                for value in row:
+                    if isinstance(value, float):
+                        has_float = True
+                    elif isinstance(value, Fraction):
+                        has_fraction = True
+            if has_float and has_fraction:
+                raise ValueError("matrix mixes float and Fraction entries")
+            kind = "float" if has_float else "exact" if has_fraction else "int"
+            object.__setattr__(self, "_kind", kind)  # a frozen matrix keeps its kind
+        return kind
 
 
 def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
@@ -111,6 +115,7 @@ def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     kinds = {a.scalar_kind(), b.scalar_kind()}
     if "float" in kinds and "exact" in kinds:
         raise ValueError("scalar kind mismatch: cannot multiply float and exact matrices")
+    kind = "float" if "float" in kinds else "exact" if "exact" in kinds else "int"
     lower = a.lower_bandwidth + b.lower_bandwidth
     upper = a.upper_bandwidth + b.upper_bandwidth
     rows = []
@@ -123,7 +128,9 @@ def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             for position, right in enumerate(b.rows[k], k - b.lower_bandwidth - first):
                 band[position] += left * right
         rows.append(band)
-    return BandedMatrix.from_rows(a.size, lower, upper, rows)
+    product = BandedMatrix.from_rows(a.size, lower, upper, rows)
+    object.__setattr__(product, "_kind", kind)
+    return product
 
 
 def death_factor(c: LUCoefficients, size: int) -> BandedMatrix:

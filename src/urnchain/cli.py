@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -31,17 +30,24 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import analysis, banded, urns
-from .coefficients import (
-    IntegerParameters,
-    LUCoefficients,
-    ParameterError,
-    Parameters,
-    lu_coefficients,
-    lu_coefficients_integer,
-    reconstruct_row,
-    require_valid,
-)
+
+class _Module:
+    """A module of the package, imported at the first attribute access
+    through this handle, which the module then replaces in this
+    namespace: a command loads only the modules it runs, and ``--help``
+    none.  The handlers read the four names at call time, so whatever
+    stands in them then (such as a tracing proxy) is what they call."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attribute: str):
+        # an import statement's own call, which -X importtime reports
+        module = globals()[self._name] = __import__(self._name, globals(), None, ["*"], 1)
+        return getattr(module, attribute)
+
+
+analysis, banded, coefficients, urns = map(_Module, ("analysis", "banded", "coefficients", "urns"))
 
 DEFAULT_SEED = 0x4A50  # fixed default so bare invocations reproduce byte-identically
 
@@ -157,46 +163,50 @@ def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
     return 0
 
 
-def _resolve_parameters(args) -> Parameters | IntegerParameters:
+def _resolve_parameters(args) -> coefficients.Parameters | coefficients.IntegerParameters:
     integer_form = args.M is not None or args.N is not None
     general_form = args.alpha is not None or args.beta is not None
     if integer_form and general_form:
-        raise ParameterError("supply either --alpha/--beta or --M/--N, not both")
+        raise coefficients.ParameterError("supply either --alpha/--beta or --M/--N, not both")
     if not integer_form and not general_form:
-        raise ParameterError("parameters required: --alpha/--beta/--gamma or --M/--N/--gamma")
+        raise coefficients.ParameterError(
+            "parameters required: --alpha/--beta/--gamma or --M/--N/--gamma"
+        )
     if args.gamma is None:
-        raise ParameterError("--gamma is required")
+        raise coefficients.ParameterError("--gamma is required")
     if integer_form:
         if args.M is None or args.N is None:
-            raise ParameterError("integer form requires both --M and --N")
+            raise coefficients.ParameterError("integer form requires both --M and --N")
         try:
             gamma = int(args.gamma)
         except ValueError:
-            raise ParameterError(
+            raise coefficients.ParameterError(
                 f"--gamma must be a non-negative integer with --M/--N (got {args.gamma!r})"
             ) from None
-        params = IntegerParameters(args.M, args.N, gamma)
+        params = coefficients.IntegerParameters(args.M, args.N, gamma)
     else:
         if args.alpha is None or args.beta is None:
-            raise ParameterError("general form requires both --alpha and --beta")
+            raise coefficients.ParameterError("general form requires both --alpha and --beta")
         try:
             gamma = float(args.gamma)
         except ValueError:
-            raise ParameterError(f"--gamma must be a real number (got {args.gamma!r})") from None
-        params = Parameters(args.alpha, args.beta, gamma)
-    require_valid(params)
+            raise coefficients.ParameterError(
+                f"--gamma must be a real number (got {args.gamma!r})"
+            ) from None
+        params = coefficients.Parameters(args.alpha, args.beta, gamma)
+    coefficients.require_valid(params)
     return params
 
 
-def _build_coefficients(params, n_max: int) -> LUCoefficients:
-    if isinstance(params, IntegerParameters):
-        return lu_coefficients_integer(params, n_max)
-    return lu_coefficients(params, n_max)
+def _build_coefficients(params, n_max: int) -> coefficients.LUCoefficients:
+    if isinstance(params, coefficients.IntegerParameters):
+        return coefficients.lu_coefficients_integer(params, n_max)
+    return coefficients.lu_coefficients(params, n_max)
 
 
 def _parameters_payload(params) -> dict:
-    form = "integer" if isinstance(params, IntegerParameters) else "general"
-    return {"form": form, **dataclasses.asdict(params)}
+    form = "integer" if isinstance(params, coefficients.IntegerParameters) else "general"
+    return {"form": form, **vars(params)}
 
 
 def cmd_coeffs(args, params) -> int:
@@ -204,7 +214,7 @@ def cmd_coeffs(args, params) -> int:
     header = ["n", "x", "y", "t", "r", "s", "a", "b", "c", "d"]
     rows = []
     for n in range(args.n_max + 1):
-        trow = reconstruct_row(coeffs, n)
+        trow = coefficients.reconstruct_row(coeffs, n)
         rows.append(_exact(
             [n, coeffs.x[n], coeffs.y[n], coeffs.t[n], coeffs.r[n], coeffs.s[n],
              trow.a, trow.b, trow.c, trow.d],
@@ -215,7 +225,9 @@ def cmd_coeffs(args, params) -> int:
 
 def cmd_verify(args, params) -> int:
     if not (args.tolerance is None or 0 <= args.tolerance < math.inf):
-        raise ParameterError(f"--tolerance must be a finite number >= 0 (got {args.tolerance})")
+        raise coefficients.ParameterError(
+            f"--tolerance must be a finite number >= 0 (got {args.tolerance})"
+        )
     report = banded.verify_lu(params, args.T, tolerance=args.tolerance)
     _emit_json("verify", params, args.output, **report.to_dict())
     return 0 if report.passed else 3
@@ -308,7 +320,7 @@ def cmd_compare(args, params) -> int:
 
 def cmd_poly(args, params) -> int:
     coeffs = _build_coefficients(params, args.n_max)
-    exact = isinstance(params, IntegerParameters)
+    exact = isinstance(params, coefficients.IntegerParameters)
     points = args.x if args.x else ["1"]
     header = ["x", "n", "q"]
     rows = []
@@ -316,12 +328,16 @@ def cmd_poly(args, params) -> int:
         try:
             point = Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise ParameterError(f"--x must be a rational number (got {text!r})") from None
+            raise coefficients.ParameterError(
+                f"--x must be a rational number (got {text!r})"
+            ) from None
         if not exact:
             try:
                 point = float(point)
             except OverflowError:
-                raise ParameterError(f"--x overflows a double (got {text!r})") from None
+                raise coefficients.ParameterError(
+                    f"--x overflows a double (got {text!r})"
+                ) from None
         evaluation = analysis.evaluate_polynomials(coeffs, point, args.n_max)
         for n, value in enumerate(evaluation.values):
             rows.append(_exact([point, n, value], x=text, n=n))
@@ -455,25 +471,35 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
+
+
+def _run(args) -> int:
+    """Check the parsed command's input, then run it.  The parser has
+    already exited on --help and on a usage error, before this ``except
+    coefficients.ParameterError``, which imports that module whenever an
+    exception reaches it, so neither loads a module of the package."""
+    try:
         params = _resolve_parameters(args)
-        if args.urn_form and not isinstance(params, IntegerParameters):
-            raise ParameterError("this command simulates urns and requires --M/--N/--gamma")
+        if args.urn_form and not isinstance(params, coefficients.IntegerParameters):
+            raise coefficients.ParameterError(
+                "this command simulates urns and requires --M/--N/--gamma"
+            )
         for flag, least in args.bounds:
             given = getattr(args, flag.lstrip("-").replace("-", "_"))
             # a repeatable flag holds a list, or None when not given
             if given is not None and min(given if isinstance(given, list) else [given]) < least:
-                raise ParameterError(f"{flag} must be >= {least}")
+                raise coefficients.ParameterError(f"{flag} must be >= {least}")
         return args.func(args, params)
-    except ParameterError as exc:
+    except coefficients.ParameterError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure contract
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

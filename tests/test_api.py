@@ -1,7 +1,12 @@
-"""The public surface the ROADMAP tracks: the names in ``urnchain.__all__``
-and the runtime dependencies declared in ``pyproject.toml``."""
+"""The public surface the ROADMAP tracks: the names in ``urnchain.__all__``,
+each imported from its module at its first use, and the runtime
+dependencies declared in ``pyproject.toml``."""
 
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +37,41 @@ def test_numpy_is_the_only_runtime_dependency():
     assert [re.match(r"[A-Za-z0-9._-]+", requirement)[0] for requirement in dependencies] == [
         "numpy"
     ]
+
+
+def fresh_import() -> tuple[list[str], list[str]]:
+    """``sys.modules`` and ``dir(urnchain)`` just after ``import urnchain``
+    in a fresh interpreter, before any name of the package is read."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, urnchain; print(*sys.modules); print(*dir(urnchain))"],
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    modules, names = result.stdout.splitlines()
+    return modules.split(), names.split()
+
+
+def test_import_loads_no_module_of_the_package():
+    modules, _ = fresh_import()
+    assert [name for name in modules if name.startswith("urnchain.")] == []
+
+
+def test_dir_lists_every_exported_name():
+    _, names = fresh_import()
+    assert set(urnchain.__all__) <= set(names)
+
+
+def test_star_import_binds_each_name_to_its_definition():
+    namespace = {}
+    exec("from urnchain import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == urnchain.__all__
+    modules = [
+        importlib.import_module(f"urnchain.{name}")
+        for name in ("analysis", "banded", "coefficients", "urns")
+    ]
+    for name in urnchain.__all__:
+        # a module that imports the name from another holds the same object
+        holders = [vars(module)[name] for module in modules if name in vars(module)]
+        assert holders and all(value is namespace[name] for value in holders), name

@@ -163,6 +163,18 @@ class TestBandedMatrix:
         f = build(3, 0, 0, lambda i, j: 0.5)
         assert f.scalar_kind() == "float"
 
+    def test_product_takes_the_kind_a_scan_finds(self):
+        gen = np.random.default_rng(7)
+        ints, exact = identity(4), random_banded(gen, 4, 1, 1)
+        floats = build(4, 2, 0, lambda i, j: 0.5)
+        for a, b in [(ints, ints), (ints, exact), (exact, ints), (exact, exact),
+                     (ints, floats), (floats, ints), (floats, floats)]:
+            product = multiply(a, b)
+            scanned = BandedMatrix(
+                product.size, product.lower_bandwidth, product.upper_bandwidth, product.rows
+            )
+            assert product.scalar_kind() == scanned.scalar_kind()
+
     def test_kind_mismatch_rejected(self):
         exact = random_banded(np.random.default_rng(3), 3, 1, 0)
         floats = build(3, 0, 0, lambda i, j: 0.5)
@@ -326,6 +338,21 @@ class TestVerify:
             monkeypatch.setattr(banded, name, counting)
         verify_lu(IP, 10)
         assert calls == Counter(names)
+
+    def test_each_factor_entry_is_scanned_once_for_its_kind(self, monkeypatch):
+        # the product takes its kind from its factors, whose 3 + 2 band
+        # entries a row are each scanned once (by multiply)
+        scanned = []
+
+        class Counting(type):
+            def __instancecheck__(cls, value):
+                scanned.append(value)
+                return isinstance(value, F)
+
+        monkeypatch.setattr(banded, "Fraction", Counting("Fraction", (), {}))
+        report = verify_lu(IP, 30)
+        assert (report.kind, report.passed) == ("exact", True)
+        assert len(scanned) == 30 * (3 + 2)
 
     def test_exact_failures_keep_their_fraction_deviation(self):
         # s_7 + 1/1000 and x_11 - 1/999; the deviations 1/999 and 1/1000

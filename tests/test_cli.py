@@ -64,6 +64,26 @@ def imported_modules(importtime_stderr: str) -> list[str]:
     ]
 
 
+def package_modules(modules: list[str]) -> set[str]:
+    """The package's own modules, without urnchain and urnchain.cli,
+    which every run of ``python -m urnchain`` loads."""
+    loaded = {name for name in modules if name.split(".")[0] == "urnchain"}
+    assert {"urnchain", "urnchain.cli"} <= loaded
+    return loaded - {"urnchain", "urnchain.cli"}
+
+
+# the modules of the package each command loads besides urnchain.cli:
+# the ones it runs and the coefficients module they all import
+COMMAND_MODULES = {
+    "coeffs": {"urnchain.coefficients"},
+    "verify": {"urnchain.coefficients", "urnchain.banded"},
+    "graph": {"urnchain.coefficients", "urnchain.banded"},
+    "poly": {"urnchain.coefficients", "urnchain.analysis"},
+    "simulate": {"urnchain.coefficients", "urnchain.urns"},
+    "compare": {"urnchain.coefficients", "urnchain.urns", "urnchain.analysis"},
+}
+
+
 def heavy_packages(modules: list[str]) -> set[str]:
     # importing scipy.stats took about a second of every cold start, and
     # numpy about half of the rest; only the urn samplers need numpy
@@ -800,14 +820,44 @@ class TestEntryPoint:
     def test_help_loads_no_numpy_or_scipy(self):
         result = run_python("-X", "importtime", "-m", "urnchain", "--help")
         assert result.returncode == 0 and result.stdout.startswith("usage: urnchain")
-        assert_no_numpy_or_scipy(imported_modules(result.stderr))
+        modules = imported_modules(result.stderr)
+        assert_no_numpy_or_scipy(modules)
+        assert package_modules(modules) == set()
+        assert "dataclasses" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        [], ["coeffs", "--bad"], ["coeffs", "--n-max", "x"], ["compare", "--help"],
+    ], ids=["bare", "unknown flag", "bad value", "command help"])
+    def test_help_and_usage_errors_load_the_cli_alone(self, argv):
+        result = run_python("-X", "importtime", "-m", "urnchain", *argv)
+        assert result.returncode == (0 if "--help" in argv else 2)
+        assert "usage: urnchain" in result.stdout + result.stderr
+        modules = imported_modules(result.stderr)
+        assert package_modules(modules) == set()
+        assert "dataclasses" not in modules
 
     @pytest.mark.parametrize("name", ALGEBRA_COMMANDS)
     def test_algebra_command_loads_no_numpy_or_scipy(self, name):
-        result = run_python("-X", "importtime", "-m", "urnchain", *ALGEBRA_COMMANDS[name])
+        argv = ALGEBRA_COMMANDS[name]
+        result = run_python("-X", "importtime", "-m", "urnchain", *argv)
         assert result.returncode == 0, result.stderr[-2000:]
         assert result.stdout
-        assert_no_numpy_or_scipy(imported_modules(result.stderr))
+        modules = imported_modules(result.stderr)
+        assert_no_numpy_or_scipy(modules)
+        assert package_modules(modules) == COMMAND_MODULES[argv[0]]
+
+    def test_help_and_usage_errors_restore_the_digit_limit(self):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)  # not the default, so a restore to it shows
+        try:
+            for argv in (["--help"], ["coeffs", "--bad"]):
+                with pytest.raises(SystemExit):
+                    main(argv)
+                assert sys.get_int_max_str_digits() == 5000, argv
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("name", ALGEBRA_COMMANDS)
     def test_algebra_command_runs_without_numpy(self, name):
@@ -833,4 +883,6 @@ class TestEntryPoint:
         # the guard above is not vacuous: the urn samplers still import it
         result = run_python("-X", "importtime", "-m", "urnchain", *argv)
         assert result.returncode == 0, result.stderr[-2000:]
-        assert heavy_packages(imported_modules(result.stderr)) == {"numpy"}
+        modules = imported_modules(result.stderr)
+        assert heavy_packages(modules) == {"numpy"}
+        assert package_modules(modules) == COMMAND_MODULES[argv[0]]
