@@ -14,6 +14,11 @@ the parameters, the urn form for the commands that draw urns, and each
 of the command's flags against its lower bound, in the order the
 command declares them (see :func:`build_parser`).
 
+One writer, :func:`_emit`, writes every table and the verify report.  A
+table reaches it as the text of its rows, in pieces: CSV lines under the
+header, or JSON row objects that it sets into the one JSON envelope.
+``graph`` writes DOT.
+
 Exit codes: 0 success, 1 runtime failure, 2 invalid parameters,
 3 verification failure.
 """
@@ -21,7 +26,6 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -54,10 +58,12 @@ DEFAULT_SEED = 0x4A50  # fixed default so bare invocations reproduce byte-identi
 SCHEMA = "1"
 
 
-def _cell(value):
-    """A float as 17 significant digits; anything else as is, for
-    csv.writer or an f-string to print its str() (None: an empty cell)."""
-    return format(value, ".17g") if isinstance(value, float) else value
+def _cell(value) -> str:
+    """A cell's text: a float as 17 significant digits, None as an empty
+    cell, anything else as its str()."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
 
 
 def _exact(row: list, **where) -> list:
@@ -86,8 +92,6 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# stands in for a table's rows while the envelope around them is encoded
-_ROWS_MARKER = "\0urnchain rows\0"
 # one table row as its object's lines at depth 2 of an indent=2 dump,
 # braces included; indent=None keeps json's C encoder
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), sort_keys=True, allow_nan=False)
@@ -100,21 +104,29 @@ _TRIAL_MARKER = "\0"
 _BLOCK_ROWS = 2048
 
 
-def _json_chunks(payload: dict, key=None, objects=()) -> Iterable[str]:
+def _row_text(fmt: str, header, rows) -> Iterator[str]:
+    """Each row's text, its cells encoded one by one: a CSV line, or its
+    JSON object.  Rows hold scalars only; a CSV cell is None, a bool, an
+    int, a finite float or a p/q string (see :func:`_exact`), none of
+    which needs quoting."""
+    if fmt == "json":
+        return (f"{{\n      {_ROW_ENCODER.encode(dict(zip(header, row)))[1:-1]}\n    }}"
+                for row in rows)
+    return (",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _json_chunks(payload: dict, key: str, objects) -> Iterable[str]:
     """The text of :func:`_dumps` of ``payload`` with a list of row
     objects under ``key``, in pieces: ``objects`` is their text, each
-    piece one or more of them joined by :data:`_ROW_SEPARATOR`: one
-    object a piece from :func:`_json_rows`, the rows of whole trials (or
-    of a segment of one) filled into a trial's template from
-    :func:`_trajectory_text`.  The envelope is encoded before this
-    returns, each row only when the iterator reaches it, so memory does
-    not grow with the row count."""
-    if key is None:
-        return [_dumps(payload)]
-    head, *tail = _dumps({**payload, key: _ROWS_MARKER}).split(json.dumps(_ROWS_MARKER))
-    if len(tail) != 1:
-        raise ValueError(f"{_ROWS_MARKER!r} is a reserved JSON value")
-    return itertools.chain([head], _json_array(objects), tail)
+    piece one or more of them joined by :data:`_ROW_SEPARATOR`.  The
+    envelope is encoded before this returns, each row only when the
+    iterator reaches it, so memory does not grow with the row count.  It
+    is split at the key's own line, ``\\n  "<key>": []``, which occurs
+    once: JSON escapes every quote and line break inside a string,
+    deeper keys are indented further and top-level keys are unique."""
+    opening = f"\n  {json.dumps(key)}: "
+    head, _, tail = _dumps({**payload, key: []}).partition(opening + "[]")
+    return itertools.chain([head + opening], _json_array(objects), [tail])
 
 
 def _json_array(objects) -> Iterator[str]:
@@ -126,40 +138,24 @@ def _json_array(objects) -> Iterator[str]:
     yield "[]" if opening[0] == "[" else "\n  ]"
 
 
-def _json_rows(header, rows) -> Iterator[str]:
-    """Each row's object text, its cells encoded one by one; rows hold
-    scalars only."""
-    for row in rows:
-        yield f"{{\n      {_ROW_ENCODER.encode(dict(zip(header, row)))[1:-1]}\n    }}"
-
-
-def _emit_json(command: str, params, output: str | None, table=(), /, **fields) -> None:
-    """Write the one JSON envelope: schema, command and parameters
-    beside the command's own ``fields``, keys sorted.  A ``table``,
-    ``(key, objects)``, is written under ``key`` piece by piece (see
-    :func:`_json_chunks`)."""
+def _emit(args, params, command: str, key=None, header=(), text=(), /, **fields) -> int:
+    """The one writer of every table and the verify report: under
+    ``--format csv`` the ``header`` row, then ``text``, the table's CSV
+    lines; else one JSON envelope, schema, command and parameters beside
+    the command's own ``fields``, keys sorted, with ``text``, the table's
+    row objects, as the list under ``key`` (the verify report has no
+    table and no ``key``).  Every float cell is finite (see
+    :func:`_exact`), so nothing raises once the first byte is written."""
     payload = {"schema": SCHEMA, "command": command, "parameters": _parameters_payload(params)}
     payload.update(fields)
-    chunks = _json_chunks(payload, *table)
-    with _output(output) as handle:
-        handle.writelines(chunks)
-
-
-def _emit_table(args, params, command, header, rows, key="rows", **meta) -> int:
-    """Write one table as its rows arrive, one cell at a time: CSV under
-    a header row, or JSON objects under ``key`` beside ``meta``.  Cells
-    are None, bool, int, float and str only, and every float cell is
-    finite (see :func:`_exact`), so nothing can raise once the first
-    byte is written: a failing table leaves stdout empty in either
-    format.  The trajectory table, ints alone, is written from one
-    trial's template instead (:func:`_trajectory_text`)."""
-    if args.format == "json":
-        _emit_json(command, params, args.output, (key, _json_rows(header, rows)), **meta)
-        return 0
+    if key is None:
+        chunks = [_dumps(payload)]
+    elif args.format == "csv":
+        chunks = itertools.chain([",".join(header) + "\n"], text)
+    else:
+        chunks = _json_chunks(payload, key, text)
     with _output(args.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(value) for value in row] for row in rows)
+        handle.writelines(chunks)
     return 0
 
 
@@ -220,7 +216,7 @@ def cmd_coeffs(args, params) -> int:
              trow.a, trow.b, trow.c, trow.d],
             n=n,
         ))
-    return _emit_table(args, params, "coeffs", header, rows)
+    return _emit(args, params, "coeffs", "rows", header, _row_text(args.format, header, rows))
 
 
 def cmd_verify(args, params) -> int:
@@ -229,7 +225,7 @@ def cmd_verify(args, params) -> int:
             f"--tolerance must be a finite number >= 0 (got {args.tolerance})"
         )
     report = banded.verify_lu(params, args.T, tolerance=args.tolerance)
-    _emit_json("verify", params, args.output, **report.to_dict())
+    _emit(args, params, "verify", **report.to_dict())
     return 0 if report.passed else 3
 
 
@@ -242,24 +238,18 @@ def cmd_simulate(args, params) -> int:
             params, args.initial, experiment, args.trials, args.seed,
             steps=args.steps, threads=args.threads,
         )
-        return _emit_table(
-            args, params, "simulate", ["state", "count"], sorted(counts.items()),
-            key="counts", **meta,
-        )
+        header = ["state", "count"]
+        return _emit(args, params, "simulate", "counts", header,
+                     _row_text(args.format, header, sorted(counts.items())), **meta)
     paths = urns._sample_paths(
         params, args.initial, experiment, args.trials, args.seed,
         steps=args.steps, threads=args.threads,
     )
     sub_steps = (1, 2) if experiment == urns.COMPOSITE else (1,)
     labels = itertools.chain([(0, 0)], itertools.product(range(1, args.steps + 1), sub_steps))
-    text = _trajectory_text(args.format, paths, labels)
-    if args.format == "json":
-        _emit_json("simulate", params, args.output, ("rows", text), **meta)
-        return 0
-    with _output(args.output) as handle:
-        handle.write("trial,step,sub_step,state\n")
-        handle.writelines(text)
-    return 0
+    header = ["trial", "step", "sub_step", "state"]
+    return _emit(args, params, "simulate", "rows", header,
+                 _trajectory_text(args.format, paths, labels), **meta)
 
 
 def _trajectory_text(fmt: str, paths, labels) -> Iterator[str]:
@@ -315,7 +305,8 @@ def cmd_compare(args, params) -> int:
             [start, args.trials, tv, statistic, dof, threshold, statistic <= threshold],
             initial=start,
         ))
-    return _emit_table(args, params, "compare", header, rows, trials=args.trials, seed=args.seed)
+    return _emit(args, params, "compare", "rows", header, _row_text(args.format, header, rows),
+                 trials=args.trials, seed=args.seed)
 
 
 def cmd_poly(args, params) -> int:
@@ -341,7 +332,7 @@ def cmd_poly(args, params) -> int:
         evaluation = analysis.evaluate_polynomials(coeffs, point, args.n_max)
         for n, value in enumerate(evaluation.values):
             rows.append(_exact([point, n, value], x=text, n=n))
-    return _emit_table(args, params, "poly", header, rows)
+    return _emit(args, params, "poly", "rows", header, _row_text(args.format, header, rows))
 
 
 def cmd_graph(args, params) -> int:

@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from urnchain import analysis
-from urnchain.cli import (
-    _ROWS_MARKER, _json_chunks, _json_rows, _trajectory_text, main,
-)
+from urnchain.cli import _cell, _json_chunks, _row_text, _trajectory_text, main
 from urnchain.coefficients import (
     IntegerParameters,
     lu_coefficients,
@@ -623,23 +621,25 @@ class TestPinnedOutput:
     pinned with in this file."""
 
     @pytest.mark.parametrize("case", names("verify-graph"))
-    def test_verify_and_graph_output_is_pinned(self, case):
-        replay(f"verify-graph/{case}")
+    def test_verify_and_graph_output_is_pinned(self, tmp_path, case):
+        # a verify that fails (exit 3) still writes its report to --output
+        replay(f"verify-graph/{case}", output=tmp_path / "report.txt")
 
     @pytest.mark.parametrize("case", names("json-table"))
     def test_json_table_output_is_pinned(self, tmp_path, case):
         replay(f"json-table/{case}", output=tmp_path / "table.json")
 
     @pytest.mark.parametrize("fmt", names("compare"))
-    def test_compare_output_is_pinned(self, fmt):
-        replay(f"compare/{fmt}")
+    def test_compare_output_is_pinned(self, tmp_path, fmt):
+        replay(f"compare/{fmt}", output=tmp_path / f"compare.{fmt}")
 
 
 # table cells and field names as the CLI writes them: scalars only, with
-# strings that JSON must escape, one with str.format braces and one
-# equal to the rows marker
+# strings that JSON must escape, one with str.format braces and two that
+# hold the text of a table key's line in the envelope
 TRICKY_TEXT = st.sampled_from([
-    'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "über ∑ 🎲", "{0} }{", _ROWS_MARKER,
+    'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "über ∑ 🎲", "{0} }{",
+    '\n  "rows": []', '": []',
 ])
 CELLS = st.one_of(
     st.none(),
@@ -650,18 +650,29 @@ CELLS = st.one_of(
     st.text(max_size=8),
     TRICKY_TEXT,
 )
-NAMES = st.text(max_size=6) | TRICKY_TEXT.filter(lambda name: name != _ROWS_MARKER)
+NAMES = st.text(max_size=6) | TRICKY_TEXT
+# the cells of the CLI's CSV tables: None, bools, ints, finite floats and
+# exact rationals as p/q strings (see cli._exact)
+CSV_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300)).map(str),
+)
 
 
 @st.composite
-def json_tables(draw):
-    header = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
-    rows = draw(st.lists(st.tuples(*[CELLS] * len(header)), max_size=6))
+def json_tables(draw, cells=CELLS, columns=1):
+    """A table of ``cells`` with ``columns`` or more columns under meta
+    fields; the CLI's tables all have two or more."""
+    header = draw(st.lists(NAMES, min_size=columns, max_size=5, unique=True))
+    rows = draw(st.lists(st.tuples(*[cells] * len(header)), max_size=6))
     key = draw(st.sampled_from(["rows", "counts"]))
     # meta keys on both sides of either table key in sorted order
     meta = draw(st.dictionaries(
         st.sampled_from(["a", "command", "parameters", "rt", "schema", "z"]) | NAMES,
-        CELLS.filter(lambda value: value != _ROWS_MARKER),
+        CELLS,
         max_size=5,
     ))
     meta.pop(key, None)
@@ -676,11 +687,18 @@ class TestJsonTable:
             {**payload, key: [dict(zip(header, row)) for row in rows]},
             indent=2, sort_keys=True, allow_nan=False,
         ) + "\n"
-        assert "".join(_json_chunks(payload, key, _json_rows(header, iter(rows)))) == expected
+        objects = _row_text("json", header, iter(rows))
+        assert "".join(_json_chunks(payload, key, objects)) == expected
 
-    def test_marker_in_the_envelope_is_refused(self):
-        with pytest.raises(ValueError, match="reserved"):
-            _json_chunks({"seed": _ROWS_MARKER}, "rows", _json_rows(["n"], [(0,)]))
+    @given(json_tables(CSV_CELLS, columns=2))
+    def test_csv_rows_equal_the_csv_writer(self, table):
+        # a one-column row of None is '""' to csv.writer, hence two columns
+        _, _, header, rows = table
+        cells = io.StringIO()
+        csv.writer(cells, lineterminator="\n").writerows(
+            [_cell(value) if isinstance(value, float) else value for value in row] for row in rows
+        )
+        assert "".join(_row_text("csv", header, iter(rows))) == cells.getvalue()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_the_row_count(self, tmp_path, capsys, fmt):
