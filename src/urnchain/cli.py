@@ -194,19 +194,13 @@ def _resolve_parameters(args) -> coefficients.Parameters | coefficients.IntegerP
     return params
 
 
-def _build_coefficients(params, n_max: int) -> coefficients.LUCoefficients:
-    if isinstance(params, coefficients.IntegerParameters):
-        return coefficients.lu_coefficients_integer(params, n_max)
-    return coefficients.lu_coefficients(params, n_max)
-
-
 def _parameters_payload(params) -> dict:
     form = "integer" if isinstance(params, coefficients.IntegerParameters) else "general"
     return {"form": form, **vars(params)}
 
 
 def cmd_coeffs(args, params) -> int:
-    coeffs = _build_coefficients(params, args.n_max)
+    coeffs = coefficients.lu_coefficients(params, args.n_max)
     header = ["n", "x", "y", "t", "r", "s", "a", "b", "c", "d"]
     rows = []
     for n in range(args.n_max + 1):
@@ -310,7 +304,7 @@ def cmd_compare(args, params) -> int:
 
 
 def cmd_poly(args, params) -> int:
-    coeffs = _build_coefficients(params, args.n_max)
+    coeffs = coefficients.lu_coefficients(params, args.n_max)
     exact = isinstance(params, coefficients.IntegerParameters)
     points = args.x if args.x else ["1"]
     header = ["x", "n", "q"]
@@ -336,7 +330,7 @@ def cmd_poly(args, params) -> int:
 
 
 def cmd_graph(args, params) -> int:
-    coeffs = _build_coefficients(params, args.T - 1)
+    coeffs = coefficients.lu_coefficients(params, args.T - 1)
     builder = {"P": "reconstructed_matrix", "PL": "death_factor", "PU": "birth_factor"}[args.which]
     matrix = getattr(banded, builder)(coeffs, args.T)
     with _output(args.output) as handle:
@@ -489,7 +483,8 @@ def _run(args) -> int:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure contract
-        print(f"error: {exc}", file=sys.stderr)
+        # an exception without a message, such as MemoryError(), by its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -12,12 +12,13 @@ m = 2n + 1:
   down-two entries of the composite chain, recovered from the factor
   coefficients by :func:`reconstruct_row`.
 
-Two evaluation routes are provided.  :func:`lu_coefficients` implements
-the general three-parameter formulas and is exact when handed
-``Fraction`` parameters; :func:`lu_coefficients_integer` covers the
-integer parameters (``alpha = 1/M``, ``beta = 1/N``, integer
-``gamma``) by reading the urn compositions of :func:`urn_slots`: its
-coefficients are the exact branch weights of the urn draws.  The two
+:func:`lu_coefficients` builds the table for either parameter form, one
+row per state, by one of two routes.  :class:`Parameters` go through the
+general three-parameter formulas, exact when handed ``Fraction``
+parameters; :class:`IntegerParameters` (``alpha = 1/M``, ``beta = 1/N``,
+integer ``gamma``) go through the urn compositions of :func:`urn_slots`,
+whose exact branch weights are the coefficients
+(:func:`lu_coefficients_integer` names this route alone).  The two
 routes agree exactly on their common domain, which the test suite pins.
 """
 
@@ -143,46 +144,38 @@ class TransitionRow:
         return out
 
 
-def _birth_pair(p: Parameters, m: int) -> tuple[Scalar, Scalar]:
-    """(x_m, y_m) from the general formulas."""
-    n, odd = divmod(m, 2)
-    a, b, g = p.alpha, p.beta, p.gamma
-    if odd:
-        denom = 3 * n + b + g + 3
-        return (2 * n + g + 2) / denom, (n + b + 1) / denom
-    denom = 3 * n + a + g + 2
-    return (2 * n + g + 1) / denom, (n + a + 1) / denom
+def _formula_row(p: Parameters, m: int) -> tuple[Scalar, ...]:
+    """(x_m, y_m, t_m, r_m, s_m) from the general formulas.
 
-
-def _death_triple(p: Parameters, m: int) -> tuple[Scalar, Scalar, Scalar]:
-    """(t_m, r_m, s_m) from the general formulas.
-
-    The terms carrying a factor n are short-circuited at n = 0: their
-    denominators can vanish there for admissible parameters (e.g.
-    alpha + gamma = 0), while the value is 0 by the n factor.  Those
-    boundary values take the parameters' type, so float parameters give
-    floats and Fraction parameters exact rationals.
+    The terms of t and r carrying a factor n are short-circuited at
+    n = 0: their denominators can vanish there for admissible parameters
+    (e.g. alpha + gamma = 0), while the value is 0 by the n factor.
+    Those boundary values take the parameters' type, so float parameters
+    give floats and Fraction parameters exact rationals.
     """
     n, odd = divmod(m, 2)
     a, b, g = p.alpha, p.beta, p.gamma
     zero = type(a + b + g)(0)
     if odd:
+        denom = 3 * n + b + g + 3
         d1 = 3 * n + b + g + 1
         d2 = 3 * n + b + g + 2
         d3 = 3 * n + a + g + 3
         t = n * (n + b - a) / (d1 * d2) if n else zero
         s = (2 * n + a + g + 2) * (2 * n + b + g + 2) / (d3 * d2)
         r = (n * (2 * n + a + g + 1) / (d1 * d2) if n else zero) + (n + 1) * (2 * n + b + g + 2) / (d3 * d2)
-        return t, r, s
+        return (2 * n + g + 2) / denom, (n + b + 1) / denom, t, r, s
+    denom = 3 * n + a + g + 2
+    x, y = (2 * n + g + 1) / denom, (n + a + 1) / denom
     if n == 0:
-        return zero, zero, zero + 1
+        return x, y, zero, zero, zero + 1
     d0 = 3 * n + a + g
     d1 = 3 * n + a + g + 1
     d2 = 3 * n + b + g + 1
     t = n * (n + a - b) / (d0 * d1)
     s = (2 * n + a + g + 1) * (2 * n + b + g + 1) / (d1 * d2)
     r = n * (2 * n + b + g) / (d0 * d1) + n * (2 * n + a + g + 1) / (d1 * d2)
-    return t, r, s
+    return x, y, t, r, s
 
 
 _NO_URN = (0, 1)
@@ -240,45 +233,49 @@ def urn_slots(ip: IntegerParameters, m: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def lu_coefficients(p: Parameters, n_max: int) -> LUCoefficients:
-    """Factor coefficients for indices 0..n_max via the general formulas.
+def _urn_row(ip: IntegerParameters, m: int) -> tuple[Fraction, ...]:
+    """(x_m, y_m, t_m, r_m, s_m) as the branch weights of the urn draws
+    of :func:`urn_slots`.  The (0, 1) slots make states 0 and 1 follow
+    the same products."""
+    (b2, T2), (bA, TA), (bR, TR), (bB, TB) = urn_slots(ip, m)
+    # t: blue, blue; r: blue then red from B, or red then blue from R;
+    # s: red, red
+    return (
+        Fraction(b2, T2),
+        Fraction(T2 - b2, T2),
+        Fraction(bA * bB, TA * TB),
+        Fraction(bA * (TB - bB) * TR + (TA - bA) * bR * TB, TA * TB * TR),
+        Fraction((TA - bA) * (TR - bR), TA * TR),
+    )
 
-    Exact when the parameters are ``Fraction``-valued, double precision
-    otherwise.  Raises :class:`ParameterError` for invalid parameters.
-    """
-    require_valid(p)
+
+def lu_coefficients(params: Parameters | IntegerParameters, n_max: int) -> LUCoefficients:
+    """Factor coefficients for indices 0..n_max: the urn branch weights
+    for integer parameters, always exact rationals; else the general
+    formulas, exact when the parameters are ``Fraction``-valued and
+    double precision otherwise.  Raises :class:`ParameterError` for
+    invalid parameters."""
+    require_valid(params)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (got {n_max})")
-    xs, ys, ts, rs, ss = [], [], [], [], []
+    row = _urn_row if isinstance(params, IntegerParameters) else _formula_row
+    columns = xs, ys, ts, rs, ss = [], [], [], [], []
     for m in range(n_max + 1):
-        x, y = _birth_pair(p, m)
-        t, r, s = _death_triple(p, m)
+        x, y, t, r, s = row(params, m)
         xs.append(x)
         ys.append(y)
         ts.append(t)
         rs.append(r)
         ss.append(s)
-    return LUCoefficients(tuple(xs), tuple(ys), tuple(ts), tuple(rs), tuple(ss))
+    return LUCoefficients(*map(tuple, columns))
 
 
 def lu_coefficients_integer(ip: IntegerParameters, n_max: int) -> LUCoefficients:
-    """Factor coefficients for indices 0..n_max as the branch weights of
-    the urn draws of :func:`urn_slots`; always exact rationals.  The
-    (0, 1) slots make states 0 and 1 follow the same products."""
-    require_valid(ip)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0 (got {n_max})")
-    xs, ys, ts, rs, ss = [], [], [], [], []
-    for m in range(n_max + 1):
-        (b2, T2), (bA, TA), (bR, TR), (bB, TB) = urn_slots(ip, m)
-        xs.append(Fraction(b2, T2))
-        ys.append(Fraction(T2 - b2, T2))
-        # t: blue, blue; r: blue then red from B, or red then blue from R;
-        # s: red, red
-        ts.append(Fraction(bA * bB, TA * TB))
-        rs.append(Fraction(bA * (TB - bB) * TR + (TA - bA) * bR * TB, TA * TB * TR))
-        ss.append(Fraction((TA - bA) * (TR - bR), TA * TR))
-    return LUCoefficients(tuple(xs), tuple(ys), tuple(ts), tuple(rs), tuple(ss))
+    """The urn route of :func:`lu_coefficients`, for integer parameters
+    alone."""
+    if not isinstance(ip, IntegerParameters):
+        raise TypeError(f"the urn route takes IntegerParameters, not {type(ip).__name__}")
+    return lu_coefficients(ip, n_max)
 
 
 def reconstruct_row(c: LUCoefficients, n: int) -> TransitionRow:

@@ -20,7 +20,7 @@ from urnchain.cli import main
 from urnchain.coefficients import (
     IntegerParameters,
     Parameters,
-    _death_triple,
+    _formula_row,
     lu_coefficients,
     lu_coefficients_integer,
     reconstruct_row,
@@ -165,7 +165,7 @@ def test_criterion_8_validator_correctness():
         assert validate_parameters(Parameters(0.0, 0.0, -2.0))
         assert validate_parameters(Parameters(2.0, 0.5, 0.0))
         # forcing computation past the gate yields a negative down-two weight
-        t_odd, _, _ = _death_triple(Parameters(2.0, 0.5, 0.0), 3)
+        _, _, t_odd, _, _ = _formula_row(Parameters(2.0, 0.5, 0.0), 3)
         assert t_odd < 0
         assert validate_parameters(Parameters(0.5, 1 / 3, 0.0)) == ()
 

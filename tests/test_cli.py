@@ -296,6 +296,15 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_exception_without_a_message_is_named_by_its_type(self, monkeypatch, capsys):
+        # a table too large for memory raises MemoryError(), whose str() is empty
+        def table(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr("urnchain.urns._urn_table", table)
+        result = run_cli(capsys, *self.ARGS, "--steps", "3", "--trials", "1", "--aggregate")
+        assert result == (1, "", "error: MemoryError\n")
+
     def test_aggregate_counts_sum_to_trials(self, capsys):
         code, out, _ = run_cli(
             capsys, *self.ARGS, "--aggregate", "--trials", "20000", "--seed", "5"
@@ -809,6 +818,10 @@ class TestAnyArgv:
         assert "Traceback" not in err
         if code in (1, 2):
             assert out == ""
+        if code == 1:
+            # one line: "error: " and a message
+            assert err.startswith("error: ") and err[len("error: "):].strip()
+            assert err.count("\n") == 1 and err.endswith("\n")
         formats = [arg.split("=", 1)[1] for arg in argv if arg.startswith("--format=")]
         if (code == 0 and formats[-1:] == ["json"]) or (argv[0] == "verify" and code in (0, 3)):
             parse_strict_json(out)

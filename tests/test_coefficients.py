@@ -9,7 +9,7 @@ from urnchain.coefficients import (
     IntegerParameters,
     ParameterError,
     Parameters,
-    _death_triple,
+    _formula_row,
     lu_coefficients,
     lu_coefficients_integer,
     reconstruct_row,
@@ -73,11 +73,15 @@ class TestValidation:
             lu_coefficients(Parameters(0.5, 2.0, 0.0), 5)
         with pytest.raises(ParameterError):
             lu_coefficients_integer(IntegerParameters(2, 3, -1), 5)
+        with pytest.raises(ParameterError):
+            lu_coefficients(IntegerParameters(2, 3, -1), 5)
+        with pytest.raises(TypeError, match="not Parameters"):
+            lu_coefficients_integer(Parameters(F(1, 2), F(1, 3), F(1)), 5)
 
     def test_forced_invalid_gap_turns_a_t_negative(self):
         # alpha - beta = 1.5 violates the gate; bypassing it makes the
         # odd-index down-two weight negative, so the gate is necessary
-        t, _, _ = _death_triple(Parameters(2.0, 0.5, 0.0), 3)
+        _, _, t, _, _ = _formula_row(Parameters(2.0, 0.5, 0.0), 3)
         assert t < 0
 
 
@@ -152,6 +156,8 @@ class TestIntegerFormulas:
         direct = lu_coefficients_integer(ip, n)
         general = lu_coefficients(ip.as_parameters(), n)
         assert direct == general
+        # the entry point takes the urn route for the integer form
+        assert lu_coefficients(ip, n) == direct
         # an int 0 would print as the JSON number 0, not the string "0"
         for seq in (direct.x, direct.y, direct.t, direct.r, direct.s):
             assert all(type(v) is Fraction for v in seq)
