@@ -15,8 +15,8 @@ with no urn draws nothing and counts as red.  That one rule makes state
 Every draw is an integer draw against the exact ball counts, never a
 floating-point probability; the exact enumeration oracle walks the same
 draw tree with Fraction branch weights, and the vectorized sampler
-copies the same slots into one int64 table of the states its lanes draw
-from (about 64 bytes per state).
+writes the same slots in place into one int64 numpy array of the states
+its lanes draw from (64 bytes per state).
 That sampler is the only one the CLI runs: ``simulate --aggregate`` and
 ``compare`` keep each lane's last state, trajectory mode every
 sub-state, so a trajectory depends on (seed, trials) as the counts do.
@@ -27,25 +27,21 @@ more than 2**63 - 1 balls raises :class:`ParameterError`; the vectorized
 sampler checks every urn a lane can draw from, and no other, before its
 first draw.
 
-numpy is imported at the first draw, not with this module, so the
-commands that draw nothing start without it.
+numpy is imported with this module.  Of the CLI's commands only
+``simulate`` and ``compare`` import it, so the others start without numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-from array import array
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .coefficients import _NO_URN, IntegerParameters, ParameterError, urn_slots
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BLUE = "blue"
 RED = "red"
@@ -81,8 +77,6 @@ class RngStream:
             raise ValueError(f"stream_id must be >= 0 (got {self.stream_id})")
 
     def generator(self) -> np.random.Generator:
-        import numpy as np
-
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(seq)
 
@@ -234,8 +228,6 @@ def _urn_table(
     reaches only for the other) hold the dummy (0, 1), always red, which
     ``urn_slots`` itself returns where a state has no urn.
     """
-    import numpy as np
-
     # before step k (1-based) a lane is at most 2(k - 1) below its start,
     # and k - 1 above it in the composite chain, where experiment 2 draws
     # after experiment 1 has lowered the state by up to two more
@@ -249,8 +241,9 @@ def _urn_table(
     lo, hi = (birth or death).start, initial_state + up
     size = 4 * (hi - lo)
     # the one copy of the table: every blue count, then every total
-    counts = array("q", bytes(8 * size))
-    counts.extend(itertools.repeat(1, size))
+    table = np.zeros((2, size), dtype=np.int64)
+    table[1] = 1
+    blues, totals = table
     for m in range(lo, hi):
         slots = urn_slots(ip, m)
         drawn = ((0,) if m in birth else ()) + ((1, 2, 3) if m in death else ())
@@ -259,8 +252,8 @@ def _urn_table(
             if total > _INT64_MAX:  # raises, naming the first such urn in column order
                 _int64_total(_SLOT_NAMES[k], total, m)
             column = 4 * (m - lo) + k
-            counts[size + column], counts[column] = total, blue
-    return lo, np.frombuffer(counts, dtype=np.int64).reshape(2, size)
+            totals[column], blues[column] = total, blue
+    return lo, table
 
 
 def _advance(
@@ -305,9 +298,6 @@ def _walk(
     ``threads`` threads, no more than chunks or usable CPUs, and return
     ``collect(i, lanes)`` per chunk in chunk order.  ``lanes`` yields the
     chunk's lane states: the start, then the states after each sub-step."""
-    # imported here, before any pool thread starts; ``lanes`` reads it
-    import numpy as np
-
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
     if trials < 0:
@@ -342,6 +332,10 @@ def _walk(
     # while fewer than max_workers run
     workers = min(threads, len(chunks), _usable_cpus())
     if workers > 1:
+        # imported here, not with the module: concurrent.futures takes
+        # 4.5-9 ms to import (Python 3.11, 2 vCPUs), single-thread runs
+        # never need it, and test_pool_threads_are_capped* patch
+        # ThreadPoolExecutor in concurrent.futures itself
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -378,8 +372,6 @@ def sample_endpoints(
     """
 
     def count(_: int, lanes: Iterator[np.ndarray]) -> Counter:
-        import numpy as np
-
         for states in lanes:
             pass
         values, counts = np.unique(states, return_counts=True)
@@ -407,8 +399,6 @@ def _sample_paths(
     int64 array: the start, then the state after each sub-step (two per
     composite step, experiment 1 then 2).  Same chunks and streams as
     :func:`sample_endpoints`, whose counts are the last column's."""
-    import numpy as np
-
     sub_steps = 2 if experiment == COMPOSITE else 1
     paths = np.empty((trials, 1 + steps * sub_steps), dtype=np.int64)
 

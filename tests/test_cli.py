@@ -305,6 +305,17 @@ class TestSimulate:
         result = run_cli(capsys, *self.ARGS, "--steps", "3", "--trials", "1", "--aggregate")
         assert result == (1, "", "error: MemoryError\n")
 
+    @pytest.mark.parametrize("aggregate", [["--aggregate"], []])
+    def test_table_too_large_to_build_exits_one(self, capsys, aggregate):
+        # 10**30 steps ask for an array numpy refuses to shape, so nothing
+        # is allocated; numpy's wording varies between versions
+        code, out, err = run_cli(
+            capsys, "simulate", "--M", "2", "--N", "3", "--gamma", "1",
+            "--steps", str(10**30), "--trials", "1", *aggregate,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
     def test_aggregate_counts_sum_to_trials(self, capsys):
         code, out, _ = run_cli(
             capsys, *self.ARGS, "--aggregate", "--trials", "20000", "--seed", "5"

@@ -1,4 +1,5 @@
 import concurrent.futures
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -439,6 +440,20 @@ class TestUrnTable:
         else:
             counts = sample_endpoints(ip, initial, experiment, 3, 1, steps=steps)
             assert sum(counts.values()) == 3
+
+    def test_table_takes_64_bytes_per_state(self):
+        # the warm-up call loads whatever the first call loads, which is no
+        # table's memory; 10_000 composite steps from 20 draw at states 0..10019
+        _urn_table(IP, 20, 10, COMPOSITE)
+        tracemalloc.start()
+        try:
+            lo, table = _urn_table(IP, 20, 10_000, COMPOSITE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        states = 20 + 10_000
+        assert lo == 0 and table.shape == (2, 4 * states) and table.dtype == np.int64
+        assert peak <= 64 * states + (64 << 10)
 
     def test_negative_initial_state_rejected(self):
         for experiment in EXPERIMENTS:
