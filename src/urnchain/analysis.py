@@ -4,14 +4,12 @@ driven by the composite chain's four-band recursion."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .coefficients import LUCoefficients, Scalar, TransitionRow, reconstruct_row
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(NamedTuple):
     """Observed end-state counts of a repeated experiment."""
 
     counts: Mapping[int, int]
@@ -131,8 +129,7 @@ def chi_square_threshold(dof: int, level: float = 0.999) -> float:
             low = mid
 
 
-@dataclass(frozen=True)
-class PolynomialEvaluation:
+class PolynomialEvaluation(NamedTuple):
     """Values q_0(x)..q_n(x) of the polynomial family attached to the
     composite chain."""
 

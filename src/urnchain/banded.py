@@ -15,10 +15,9 @@ would silently change the chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coefficients import (
     IntegerParameters,
@@ -31,20 +30,19 @@ from .coefficients import (
 )
 
 
-@dataclass(frozen=True)
-class BandedMatrix:
+class BandedMatrix(NamedTuple("BandedMatrix", [
+    ("size", int), ("lower_bandwidth", int), ("upper_bandwidth", int), ("rows", tuple),
+])):
     """Dense-in-band storage of a square banded matrix.
 
     ``rows[i][k]`` holds entry (i, i - lower_bandwidth + k); positions
     whose column falls outside [0, size) are stored as zero and are
     structurally zero outside the band.  :meth:`from_rows` builds one
-    from the band of each row.
+    from the band of each row.  The class has no ``__slots__``, so an
+    instance can keep its :meth:`scalar_kind` once known.
     """
 
-    size: int
-    lower_bandwidth: int
-    upper_bandwidth: int
-    rows: tuple[tuple[Scalar, ...], ...]
+    _kind: str | None = None
 
     @classmethod
     def from_rows(
@@ -75,8 +73,9 @@ class BandedMatrix:
         return out
 
     def row_sum(self, i: int) -> Scalar:
-        """Band row i added left to right from int 0, as :func:`multiply`
-        adds (not ``sum()``, which compensates floats from Python 3.12 on)."""
+        """Band row i added left to right from int 0, one plain addition
+        per entry as in :func:`multiply` (not ``sum()``, which compensates
+        floats from Python 3.12 on)."""
         total = 0
         for value in self.rows[i]:
             total += value
@@ -91,7 +90,7 @@ class BandedMatrix:
         """'float' / 'exact' (contains Fraction) / 'int' (ints only).
         The entries are scanned once, at the first call, and never for a
         :func:`multiply` product, which takes its factors' kind."""
-        kind = self.__dict__.get("_kind")
+        kind = self._kind
         if kind is None:
             has_float = has_fraction = False
             for row in self.rows:
@@ -103,13 +102,14 @@ class BandedMatrix:
             if has_float and has_fraction:
                 raise ValueError("matrix mixes float and Fraction entries")
             kind = "float" if has_float else "exact" if has_fraction else "int"
-            object.__setattr__(self, "_kind", kind)  # a frozen matrix keeps its kind
+            self._kind = kind
         return kind
 
 
 def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     """Banded product; bandwidths add.  Exact when both factors are.
-    Each entry sums its terms from int 0 in ascending k."""
+    Each entry starts at its first term and adds the others in ascending
+    k; an entry with no term is int 0."""
     if a.size != b.size:
         raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
     kinds = {a.scalar_kind(), b.scalar_kind()}
@@ -118,18 +118,22 @@ def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     kind = "float" if "float" in kinds else "exact" if "exact" in kinds else "int"
     lower = a.lower_bandwidth + b.lower_bandwidth
     upper = a.upper_bandwidth + b.upper_bandwidth
+    size, b_rows = a.size, b.rows
     rows = []
-    for i in range(a.size):
+    for i, left_row in enumerate(a.rows):
         band = [0] * (lower + upper + 1)
-        first = i - lower
-        for k, left in a.row_entries(i):
-            # b's row k starts at column k - b.lower_bandwidth; its padding
-            # lands on columns past the edges, which from_rows zeroes
-            for position, right in enumerate(b.rows[k], k - b.lower_bandwidth - first):
-                band[position] += left * right
+        end = 0  # band[:end] holds a term
+        for k, left in enumerate(left_row, i - a.lower_bandwidth):
+            if 0 <= k < size:
+                # b's row k lands on band positions k - i + a.lower_bandwidth
+                # on; its padding lands past the edges, which from_rows zeroes
+                for position, right in enumerate(b_rows[k], k - i + a.lower_bandwidth):
+                    term = left * right
+                    band[position] = band[position] + term if position < end else term
+                end = position + 1
         rows.append(band)
-    product = BandedMatrix.from_rows(a.size, lower, upper, rows)
-    object.__setattr__(product, "_kind", kind)
+    product = BandedMatrix.from_rows(size, lower, upper, rows)
+    product._kind = kind
     return product
 
 
@@ -160,16 +164,14 @@ def _require_coverage(c: LUCoefficients, size: int) -> None:
         raise ValueError(f"insufficient coefficients: need indices 0..{size - 1}, have 0..{c.n_max}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     deviation: float
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     size: int
     kind: str
     tolerance: float

@@ -196,7 +196,7 @@ def _resolve_parameters(args) -> coefficients.Parameters | coefficients.IntegerP
 
 def _parameters_payload(params) -> dict:
     form = "integer" if isinstance(params, coefficients.IntegerParameters) else "general"
-    return {"form": form, **vars(params)}
+    return {"form": form, **params._asdict()}
 
 
 def cmd_coeffs(args, params) -> int:

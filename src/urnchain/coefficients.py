@@ -25,8 +25,8 @@ routes agree exactly on their common domain, which the test suite pins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 Scalar = float | int | Fraction
 
@@ -35,8 +35,7 @@ class ParameterError(ValueError):
     """Parameters outside the regime where the chain is stochastic."""
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(NamedTuple):
     """General parameter triple; stochastic iff all three exceed -1 and
     |alpha - beta| < 1 (alpha == beta is allowed)."""
 
@@ -45,8 +44,7 @@ class Parameters:
     gamma: Scalar
 
 
-@dataclass(frozen=True)
-class IntegerParameters:
+class IntegerParameters(NamedTuple):
     """Integer parameter triple for the urn realization: alpha = 1/M,
     beta = 1/N, non-negative integer gamma."""
 
@@ -106,8 +104,7 @@ def require_valid(params: Parameters | IntegerParameters) -> None:
         raise ParameterError("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class LUCoefficients:
+class LUCoefficients(NamedTuple):
     """Factor coefficients x, y (pure-birth) and t, r, s (pure-death)
     for state indices 0..n_max.  Entries are floats or exact rationals
     depending on how they were built."""
@@ -123,8 +120,7 @@ class LUCoefficients:
         return len(self.x) - 1
 
 
-@dataclass(frozen=True)
-class TransitionRow:
+class TransitionRow(NamedTuple):
     """Row n of the composite chain: moves to n+1 (a), n (b), n-1 (c,
     defined for n >= 1) and n-2 (d, defined for n >= 2)."""
 

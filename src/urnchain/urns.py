@@ -36,8 +36,8 @@ from __future__ import annotations
 import os
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,28 +61,26 @@ _INT64_MAX = 2**63 - 1
 _SLOT_NAMES = ("A", "A", "R", "B")
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(NamedTuple("RngStream", [("seed", int), ("stream_id", int)])):
     """Splittable stream handle: (seed, stream_id) fully determines the
     draw sequence, so trials on distinct stream ids can run in parallel
     without changing any result."""
 
-    seed: int
-    stream_id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0 (got {self.seed})")
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0 (got {self.stream_id})")
+    def __new__(cls, seed: int, stream_id: int = 0) -> RngStream:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {seed})")
+        if stream_id < 0:
+            raise ValueError(f"stream_id must be >= 0 (got {stream_id})")
+        return super().__new__(cls, seed, stream_id)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(seq)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Result of one experiment: end state plus the ordered draw record
     as (urn name, color) pairs."""
 
@@ -92,8 +90,7 @@ class StepOutcome:
     draws: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled composite path; ``states[k]`` holds the pair (state after
     experiment 1, state after experiment 2) of step k."""
 
@@ -259,9 +256,10 @@ def _urn_table(
 def _advance(
     table: tuple[int, np.ndarray], states: np.ndarray, experiment: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized one-experiment step of a whole state array.  Every lane
-    consumes a fixed number of draws (dummy draws at drawless states), so
-    the generator consumption depends only on the array length."""
+    """Vectorized one-experiment step of a whole state array.  A lane at
+    a drawless state draws from the dummy (0, 1), which numpy answers
+    without advancing ``gen``, so generator use depends on the lanes'
+    states; results still depend only on (seed, stream offset, trials)."""
     lo, (blue, total) = table
     base = 4 * (states - lo)
     if experiment == 2:

@@ -75,3 +75,35 @@ def test_star_import_binds_each_name_to_its_definition():
         # a module that imports the name from another holds the same object
         holders = [vars(module)[name] for module in modules if name in vars(module)]
         assert holders and all(value is namespace[name] for value in holders), name
+
+
+def value_types() -> dict:
+    """One instance of each value type, keyed by class name, with a field
+    to assign to."""
+    from urnchain.banded import CheckResult
+
+    ip = urnchain.IntegerParameters(2, 3, 1)
+    coeffs = urnchain.lu_coefficients(ip, 4)
+    stream = urnchain.RngStream(1)
+    instances = [
+        (urnchain.Parameters(0.5, 0.5, 0.0), "alpha"),
+        (ip, "M"),
+        (coeffs, "x"),
+        (urnchain.reconstruct_row(coeffs, 2), "a"),
+        (urnchain.death_factor(coeffs, 3), "size"),
+        (CheckResult("check", True, 0.0), "passed"),
+        (urnchain.verify_lu(ip, 4), "checks"),
+        (urnchain.EmpiricalDistribution.from_counts({0: 1}), "total"),
+        (urnchain.evaluate_polynomials(coeffs, 1, 3), "values"),
+        (stream, "seed"),
+        (urnchain.experiment2_step(ip, 0, stream.generator()), "end_state"),
+        (urnchain.run_trajectory(ip, 0, 2, stream), "states"),
+    ]
+    return {type(value).__name__: (value, field) for value, field in instances}
+
+
+@pytest.mark.parametrize("name", sorted(value_types()))
+def test_value_types_reject_assignment(name):
+    value, field = value_types()[name]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))

@@ -175,6 +175,18 @@ class TestBandedMatrix:
             )
             assert product.scalar_kind() == scanned.scalar_kind()
 
+    def test_product_reports_its_kind_without_a_scan(self, monkeypatch):
+        gen = np.random.default_rng(8)
+        products = [(multiply(identity(4), identity(4)), "int"),
+                    (multiply(random_banded(gen, 4, 1, 0), random_banded(gen, 4, 0, 1)), "exact")]
+
+        class Scanning(type):
+            def __instancecheck__(cls, value):
+                raise AssertionError("the product's entries were scanned")
+
+        monkeypatch.setattr(banded, "Fraction", Scanning("Fraction", (), {}))
+        assert [product.scalar_kind() for product, _ in products] == [kind for _, kind in products]
+
     def test_kind_mismatch_rejected(self):
         exact = random_banded(np.random.default_rng(3), 3, 1, 0)
         floats = build(3, 0, 0, lambda i, j: 0.5)

@@ -887,6 +887,7 @@ class TestEntryPoint:
         modules = imported_modules(result.stderr)
         assert_no_numpy_or_scipy(modules)
         assert package_modules(modules) == COMMAND_MODULES[argv[0]]
+        assert "dataclasses" not in modules
 
     def test_help_and_usage_errors_restore_the_digit_limit(self):
         if not hasattr(sys, "get_int_max_str_digits"):
@@ -928,3 +929,4 @@ class TestEntryPoint:
         modules = imported_modules(result.stderr)
         assert heavy_packages(modules) == {"numpy"}
         assert package_modules(modules) == COMMAND_MODULES[argv[0]]
+        assert "dataclasses" not in modules

@@ -288,6 +288,24 @@ def serial_pool(monkeypatch) -> list:
 
 
 class TestBatchSampling:
+    def test_stream_rejects_negative_seed_and_id(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
+            RngStream(-1)
+        with pytest.raises(ValueError, match=r"^stream_id must be >= 0 \(got -1\)$"):
+            RngStream(0, -1)
+
+    def test_drawless_lanes_leave_the_generator_as_is(self):
+        # numpy answers the dummy (0, 1) urn without a draw, so generator
+        # use depends on the lanes' states, not on the array length alone
+        table = _urn_table(IP, 0, 1, 1)
+        gen = RngStream(5).generator()
+        before = gen.bit_generator.state
+        states = _advance(table, np.zeros(1000, dtype=np.int64), 1, gen)
+        assert states.tolist() == [0] * 1000
+        assert gen.bit_generator.state == before
+        _advance(_urn_table(IP, 0, 1, 2), states, 2, gen)
+        assert gen.bit_generator.state != before
+
     def test_counts_sum_to_trials(self):
         counts = sample_endpoints(IP, 3, COMPOSITE, 12345, 42)
         assert sum(counts.values()) == 12345
