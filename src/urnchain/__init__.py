@@ -26,8 +26,7 @@ _EXPORTS = {
     ),
     "coefficients": (
         "IntegerParameters", "LUCoefficients", "ParameterError", "Parameters", "TransitionRow",
-        "lu_coefficients", "lu_coefficients_integer", "reconstruct_row", "require_valid",
-        "validate_integer_parameters", "validate_parameters",
+        "lu_coefficients", "lu_coefficients_integer", "reconstruct_row",
     ),
     "urns": (
         "BLUE", "COMPOSITE", "RED", "RngStream", "StepOutcome", "Trajectory",

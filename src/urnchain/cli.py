@@ -179,19 +179,16 @@ def _resolve_parameters(args) -> coefficients.Parameters | coefficients.IntegerP
             raise coefficients.ParameterError(
                 f"--gamma must be a non-negative integer with --M/--N (got {args.gamma!r})"
             ) from None
-        params = coefficients.IntegerParameters(args.M, args.N, gamma)
-    else:
-        if args.alpha is None or args.beta is None:
-            raise coefficients.ParameterError("general form requires both --alpha and --beta")
-        try:
-            gamma = float(args.gamma)
-        except ValueError:
-            raise coefficients.ParameterError(
-                f"--gamma must be a real number (got {args.gamma!r})"
-            ) from None
-        params = coefficients.Parameters(args.alpha, args.beta, gamma)
-    coefficients.require_valid(params)
-    return params
+        return coefficients.IntegerParameters(args.M, args.N, gamma)
+    if args.alpha is None or args.beta is None:
+        raise coefficients.ParameterError("general form requires both --alpha and --beta")
+    try:
+        gamma = float(args.gamma)
+    except ValueError:
+        raise coefficients.ParameterError(
+            f"--gamma must be a real number (got {args.gamma!r})"
+        ) from None
+    return coefficients.Parameters(args.alpha, args.beta, gamma)
 
 
 def _parameters_payload(params) -> dict:
@@ -304,12 +301,11 @@ def cmd_compare(args, params) -> int:
 
 
 def cmd_poly(args, params) -> int:
-    coeffs = coefficients.lu_coefficients(params, args.n_max)
     exact = isinstance(params, coefficients.IntegerParameters)
-    points = args.x if args.x else ["1"]
-    header = ["x", "n", "q"]
-    rows = []
-    for text in points:
+    texts = args.x or ["1"]
+    # every point is checked first: the table can take seconds to build
+    points = []
+    for text in texts:
         try:
             point = Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -323,6 +319,11 @@ def cmd_poly(args, params) -> int:
                 raise coefficients.ParameterError(
                     f"--x overflows a double (got {text!r})"
                 ) from None
+        points.append(point)
+    coeffs = coefficients.lu_coefficients(params, args.n_max)
+    header = ["x", "n", "q"]
+    rows = []
+    for text, point in zip(texts, points):
         evaluation = analysis.evaluate_polynomials(coeffs, point, args.n_max)
         for n, value in enumerate(evaluation.values):
             rows.append(_exact([point, n, value], x=text, n=n))

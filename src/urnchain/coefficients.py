@@ -35,73 +35,69 @@ class ParameterError(ValueError):
     """Parameters outside the regime where the chain is stochastic."""
 
 
-class Parameters(NamedTuple):
-    """General parameter triple; stochastic iff all three exceed -1 and
-    |alpha - beta| < 1 (alpha == beta is allowed)."""
-
-    alpha: Scalar
-    beta: Scalar
-    gamma: Scalar
+def _make_checked(cls, iterable):
+    """A triple from ``iterable`` through ``cls(...)``, so ``_make`` and
+    ``_replace``, which calls it, check the fields as the constructor does
+    (namedtuple's own ``_make`` skips ``__new__``)."""
+    return cls(*iterable)
 
 
-class IntegerParameters(NamedTuple):
+def _refuse(violations: list[str]) -> None:
+    """Raise :class:`ParameterError` naming every violated condition."""
+    if violations:
+        raise ParameterError("; ".join(violations))
+
+
+class Parameters(
+    NamedTuple("Parameters", [("alpha", Scalar), ("beta", Scalar), ("gamma", Scalar)])
+):
+    """General parameter triple, stochastic iff all three exceed -1 and
+    |alpha - beta| < 1 (alpha == beta is allowed); a triple outside that
+    region, or with a float that is not finite, raises
+    :class:`ParameterError` when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: Scalar, beta: Scalar, gamma: Scalar) -> Parameters:
+        violations = []
+        for name, value in zip(cls._fields, (alpha, beta, gamma)):
+            # floats only: math.isfinite overflows on a huge Fraction
+            if isinstance(value, float) and not math.isfinite(value):
+                violations.append(f"{name} must be finite (got {value})")
+            elif not value > -1:
+                violations.append(f"{name} must be > -1 (got {value})")
+        if not abs(alpha - beta) < 1:
+            violations.append(f"|alpha - beta| must be < 1 (got {abs(alpha - beta)})")
+        _refuse(violations)
+        return super().__new__(cls, alpha, beta, gamma)
+
+    _make = classmethod(_make_checked)
+
+
+class IntegerParameters(NamedTuple("IntegerParameters", [("M", int), ("N", int), ("gamma", int)])):
     """Integer parameter triple for the urn realization: alpha = 1/M,
-    beta = 1/N, non-negative integer gamma."""
+    beta = 1/N, gamma.  Integers M, N >= 1 and gamma >= 0 are all it
+    takes: then alpha and beta lie in (0, 1], so alpha, beta, gamma > -1
+    and |alpha - beta| < 1 (that is, |M - N| < M N), the general form's
+    conditions, hold.  Any other triple raises :class:`ParameterError`
+    when it is built, a field that is not an int (or is a bool) before
+    any bound."""
 
-    M: int
-    N: int
-    gamma: int
+    __slots__ = ()
+
+    def __new__(cls, M: int, N: int, gamma: int) -> IntegerParameters:
+        checks = tuple(zip(cls._fields, (M, N, gamma), (1, 1, 0)))
+        _refuse([f"{name} must be an integer (got {value!r})" for name, value, _ in checks
+                 if not isinstance(value, int) or isinstance(value, bool)])
+        _refuse([f"{name} must be >= {least} (got {value})" for name, value, least in checks
+                 if value < least])
+        return super().__new__(cls, M, N, gamma)
+
+    _make = classmethod(_make_checked)
 
     def as_parameters(self) -> Parameters:
         """Exact general-parameter equivalent (Fraction-valued)."""
         return Parameters(Fraction(1, self.M), Fraction(1, self.N), Fraction(self.gamma))
-
-
-def validate_parameters(p: Parameters) -> tuple[str, ...]:
-    """Return the violated stochasticity conditions (empty if valid)."""
-    violations = []
-    for name in ("alpha", "beta", "gamma"):
-        value = getattr(p, name)
-        # floats only: math.isfinite overflows on a huge Fraction
-        if isinstance(value, float) and not math.isfinite(value):
-            violations.append(f"{name} must be finite (got {value})")
-        elif not value > -1:
-            violations.append(f"{name} must be > -1 (got {value})")
-    if not abs(p.alpha - p.beta) < 1:
-        violations.append(f"|alpha - beta| must be < 1 (got {abs(p.alpha - p.beta)})")
-    return tuple(violations)
-
-
-def validate_integer_parameters(ip: IntegerParameters) -> tuple[str, ...]:
-    """Return the violated conditions for the integer form (empty if valid).
-
-    Integers M, N >= 1 and gamma >= 0 are all it takes: then alpha = 1/M
-    and beta = 1/N lie in (0, 1], so alpha, beta, gamma > -1 and
-    |alpha - beta| < 1 (that is, |M - N| < M N), the general form's
-    stochasticity conditions, hold."""
-    violations = []
-    for name in ("M", "N", "gamma"):
-        value = getattr(ip, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            violations.append(f"{name} must be an integer (got {value!r})")
-    if not violations:
-        if ip.M < 1:
-            violations.append(f"M must be >= 1 (got {ip.M})")
-        if ip.N < 1:
-            violations.append(f"N must be >= 1 (got {ip.N})")
-        if ip.gamma < 0:
-            violations.append(f"gamma must be >= 0 (got {ip.gamma})")
-    return tuple(violations)
-
-
-def require_valid(params: Parameters | IntegerParameters) -> None:
-    """Raise :class:`ParameterError` naming every violated condition."""
-    if isinstance(params, IntegerParameters):
-        violations = validate_integer_parameters(params)
-    else:
-        violations = validate_parameters(params)
-    if violations:
-        raise ParameterError("; ".join(violations))
 
 
 class LUCoefficients(NamedTuple):
@@ -203,6 +199,8 @@ def urn_slots(ip: IntegerParameters, m: int) -> tuple[tuple[int, int], ...]:
     experiment 2 there).  A slot with no urn holds (0, 1), a draw that is
     always red: every experiment-1 slot at state 0, and R and B at 1.
     """
+    if not isinstance(ip, IntegerParameters):
+        raise TypeError(f"the urn route takes IntegerParameters, not {type(ip).__name__}")
     if m < 0:
         raise ValueError(f"state must be >= 0 (got {m})")
     n, odd = divmod(m, 2)
@@ -249,9 +247,7 @@ def lu_coefficients(params: Parameters | IntegerParameters, n_max: int) -> LUCoe
     """Factor coefficients for indices 0..n_max: the urn branch weights
     for integer parameters, always exact rationals; else the general
     formulas, exact when the parameters are ``Fraction``-valued and
-    double precision otherwise.  Raises :class:`ParameterError` for
-    invalid parameters."""
-    require_valid(params)
+    double precision otherwise."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (got {n_max})")
     row = _urn_row if isinstance(params, IntegerParameters) else _formula_row

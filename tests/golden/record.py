@@ -140,8 +140,8 @@ def _pinned() -> list:
 
 def _gates() -> list:
     """Exit 2, empty stdout and one error line: each lower bound one below
-    it, the urn-form gate, the first of two bad flags, and each message of
-    the parameter forms."""
+    it, the urn-form gate, the first of two bad flags, each message of
+    the parameter forms, and a bad --x after a good one."""
     return [
         ("gate/coeffs --n-max", ["coeffs", *EXACT, "--n-max", "-1"]),
         ("gate/poly --n-max", ["poly", *EXACT, "--n-max", "-1"]),
@@ -164,6 +164,19 @@ def _gates() -> list:
         ("gate/coeffs --gamma not a number",
          ["coeffs", "--alpha", ".5", "--beta", ".3", "--gamma", "x"]),
         ("gate/coeffs --N 0", ["coeffs", "--M", "2", "--N", "0", "--gamma", "1"]),
+        *[(f"gate/coeffs {' '.join(flags)}", ["coeffs", *flags]) for flags in [
+            ["--alpha", "-1", "--beta", "0", "--gamma", "0"],
+            ["--alpha", ".5", "--beta", "2", "--gamma", "0"],
+            ["--alpha", "nan", "--beta", ".3", "--gamma", "1"],
+            ["--alpha", ".5", "--beta", ".3", "--gamma", "-1.5"],
+            ["--alpha", "-2", "--beta", ".5", "--gamma", "-3"],
+            ["--M", "0", "--N", "3", "--gamma", "1"],
+            ["--M", "2", "--N", "3", "--gamma", "-1"],
+            ["--M", "2", "--N", "3", "--gamma", "1.5"],
+        ]],
+        # at an --n-max whose table takes a second to build
+        ("gate/poly --x after a good point",
+         ["poly", *EXACT, "--n-max", "3000", "--x", "1/3", "--x", "abc"]),
     ]
 
 

@@ -5,8 +5,10 @@ tolerance, printing one PASS/FAIL line per criterion (visible with
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from urnchain.analysis import (
     EmpiricalDistribution,
@@ -19,13 +21,13 @@ from urnchain.banded import birth_factor, death_factor, multiply, reconstructed_
 from urnchain.cli import main
 from urnchain.coefficients import (
     IntegerParameters,
+    ParameterError,
     Parameters,
     _formula_row,
     lu_coefficients,
     lu_coefficients_integer,
     reconstruct_row,
     urn_slots,
-    validate_parameters,
 )
 from urnchain.urns import COMPOSITE, enumerate_step_distribution, sample_endpoints
 
@@ -79,8 +81,9 @@ def test_criterion_2_stochasticity():
             alpha = gen.uniform(-0.95, 3.0)
             beta = alpha + gen.uniform(-0.95, 0.95)
             gamma = gen.uniform(-0.95, 3.0)
-            params = Parameters(alpha, beta, gamma)
-            if validate_parameters(params):
+            try:
+                params = Parameters(alpha, beta, gamma)
+            except ParameterError:
                 continue
             drawn += 1
             c = lu_coefficients(params, 200)
@@ -160,14 +163,13 @@ def test_criterion_7_polynomial_normalization():
 
 def test_criterion_8_validator_correctness():
     with criterion(8, "invalid parameters are rejected; the gap gate prevents negative weights"):
-        assert validate_parameters(Parameters(-1.0, 0.0, 0.0))
-        assert validate_parameters(Parameters(0.0, -1.5, 0.0))
-        assert validate_parameters(Parameters(0.0, 0.0, -2.0))
-        assert validate_parameters(Parameters(2.0, 0.5, 0.0))
+        for triple in [(-1.0, 0.0, 0.0), (0.0, -1.5, 0.0), (0.0, 0.0, -2.0), (2.0, 0.5, 0.0)]:
+            with pytest.raises(ParameterError):
+                Parameters(*triple)
         # forcing computation past the gate yields a negative down-two weight
-        _, _, t_odd, _, _ = _formula_row(Parameters(2.0, 0.5, 0.0), 3)
+        _, _, t_odd, _, _ = _formula_row(SimpleNamespace(alpha=2.0, beta=0.5, gamma=0.0), 3)
         assert t_odd < 0
-        assert validate_parameters(Parameters(0.5, 1 / 3, 0.0)) == ()
+        Parameters(0.5, 1 / 3, 0.0)
 
 
 def test_criterion_9_cli_determinism(tmp_path, capsys):

@@ -266,12 +266,6 @@ class TestVerify:
 class TestSimulate:
     ARGS = ["simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "4"]
 
-    def test_requires_integer_form(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--alpha", "0.5", "--beta", "0.2", "--gamma", "1"
-        )
-        assert code == 2 and "--M/--N" in err
-
     def test_trajectory_rows_alternate_sub_steps(self, capsys):
         code, out, _ = run_cli(
             capsys, *self.ARGS, "--steps", "3", "--trials", "2", "--seed", "7"
@@ -561,6 +555,18 @@ class TestPoly:
         )
         assert code == 2 and "--x" in err
 
+    @pytest.mark.parametrize("form", [["--M", "2", "--N", "3"], ["--alpha", ".5", "--beta", ".3"]])
+    def test_every_point_is_checked_before_the_table_is_built(self, monkeypatch, capsys, form):
+        def table(*args):
+            raise AssertionError("lu_coefficients ran before every --x was checked")
+
+        monkeypatch.setattr("urnchain.coefficients.lu_coefficients", table)
+        code, out, err = run_cli(
+            capsys, "poly", *form, "--gamma", "1", "--x", "1/3", "--x", "abc", "--x", "1e400"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: invalid parameters: --x must be a rational number (got 'abc')\n"
+
     @pytest.mark.parametrize("point", ["1e400", "-1e400"])
     def test_point_beyond_double_range_exits_two(self, capsys, point):
         code, out, err = run_cli(
@@ -571,18 +577,6 @@ class TestPoly:
 
 
 class TestInputValidation:
-    def test_negative_initial_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "-1"
-        )
-        assert code == 2 and "--initial" in err
-
-    def test_zero_truncation_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "graph", "--M", "2", "--N", "3", "--gamma", "1", "--T", "0"
-        )
-        assert code == 2 and "--T" in err
-
     def test_non_integer_gamma_with_integer_form(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--M", "2", "--N", "3", "--gamma", "0.5")
         assert code == 2 and "--gamma" in err

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from urnchain.coefficients import (
     lu_coefficients,
     lu_coefficients_integer,
     reconstruct_row,
-    validate_integer_parameters,
-    validate_parameters,
 )
 
 F = Fraction
@@ -31,44 +31,85 @@ def random_valid_parameters(gen: np.random.Generator) -> Parameters:
             return Parameters(alpha, beta, gen.uniform(-0.9, 3.0))
 
 
+def old_text(triple: tuple, integer: bool = False) -> str:
+    """The joined violations of the stochasticity check that ran apart
+    from the constructors (``validate_parameters`` and, for the
+    ``integer`` form, ``validate_integer_parameters``): the text a
+    constructor must raise, empty when the triple is admissible."""
+    violations = []
+    if integer:
+        for name, value in zip(("M", "N", "gamma"), triple):
+            if not isinstance(value, int) or isinstance(value, bool):
+                violations.append(f"{name} must be an integer (got {value!r})")
+        if not violations:
+            M, N, gamma = triple
+            if M < 1:
+                violations.append(f"M must be >= 1 (got {M})")
+            if N < 1:
+                violations.append(f"N must be >= 1 (got {N})")
+            if gamma < 0:
+                violations.append(f"gamma must be >= 0 (got {gamma})")
+        return "; ".join(violations)
+    for name, value in zip(("alpha", "beta", "gamma"), triple):
+        if isinstance(value, float) and not math.isfinite(value):
+            violations.append(f"{name} must be finite (got {value})")
+        elif not value > -1:
+            violations.append(f"{name} must be > -1 (got {value})")
+    alpha, beta, _ = triple
+    if not abs(alpha - beta) < 1:
+        violations.append(f"|alpha - beta| must be < 1 (got {abs(alpha - beta)})")
+    return "; ".join(violations)
+
+
+def raised(build, *args, **kwargs) -> str:
+    """The text of the ParameterError that ``build(*args, **kwargs)``
+    raises, empty when it returns."""
+    try:
+        build(*args, **kwargs)
+    except ParameterError as exc:
+        return str(exc)
+    return ""
+
+
 class TestValidation:
     def test_accepts_valid_triple(self):
-        assert validate_parameters(Parameters(0.5, 1 / 3, 0.0)) == ()
+        assert Parameters(0.5, 1 / 3, 0.0) == (0.5, 1 / 3, 0.0)
 
     def test_rejects_wide_alpha_beta_gap(self):
-        violations = validate_parameters(Parameters(0.5, 2.0, 0.0))
-        assert len(violations) == 1
-        assert "|alpha - beta|" in violations[0]
+        assert raised(Parameters, 0.5, 2.0, 0.0) == "|alpha - beta| must be < 1 (got 1.5)"
 
     def test_rejects_boundary_alpha(self):
-        violations = validate_parameters(Parameters(-1.0, 0.0, 0.0))
-        assert any("alpha" in v for v in violations)
+        assert raised(Parameters, -1.0, 0.0, 0.0) == (
+            "alpha must be > -1 (got -1.0); |alpha - beta| must be < 1 (got 1.0)"
+        )
 
     def test_alpha_equal_beta_is_allowed(self):
-        assert validate_parameters(Parameters(1.0, 1.0, 0.0)) == ()
+        assert Parameters(1.0, 1.0, 0.0).alpha == 1.0
 
     def test_integer_form(self):
-        assert validate_integer_parameters(IntegerParameters(2, 3, 1)) == ()
-        assert validate_integer_parameters(IntegerParameters(0, 3, 1))
-        assert validate_integer_parameters(IntegerParameters(2, 3, -1))
+        assert IntegerParameters(2, 3, 1) == (2, 3, 1)
+        assert raised(IntegerParameters, 0, 3, 1) == "M must be >= 1 (got 0)"
+        assert raised(IntegerParameters, 2, 3, -1) == "gamma must be >= 0 (got -1)"
 
     @pytest.mark.parametrize("triple", [(True, 2, 0), (2, True, 0), (2, 3, False)])
     def test_integer_form_rejects_bool(self, triple):
-        violations = validate_integer_parameters(IntegerParameters(*triple))
-        assert len(violations) == 1 and "must be an integer" in violations[0]
+        at = [type(value) for value in triple].index(bool)
+        assert raised(IntegerParameters, *triple) == (
+            f"{('M', 'N', 'gamma')[at]} must be an integer (got {triple[at]!r})"
+        )
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_rejects_non_finite_float(self, name, value):
         triple = {"alpha": 0.5, "beta": 0.3, "gamma": 1.0, name: value}
-        violations = validate_parameters(Parameters(**triple))
-        assert f"{name} must be finite (got {value})" in violations
+        assert f"{name} must be finite (got {value})" in raised(Parameters, **triple).split("; ")
 
     def test_huge_fraction_stays_valid(self):
         # math.isfinite would overflow converting this Fraction to a float
-        assert validate_parameters(Parameters(F(1, 2), F(1, 3), F(10**400))) == ()
+        assert Parameters(F(1, 2), F(1, 3), F(10**400)).gamma == 10**400
 
     def test_builders_reject_invalid(self):
+        # no builder can be handed an invalid triple: building it raises
         with pytest.raises(ParameterError):
             lu_coefficients(Parameters(0.5, 2.0, 0.0), 5)
         with pytest.raises(ParameterError):
@@ -79,10 +120,87 @@ class TestValidation:
             lu_coefficients_integer(Parameters(F(1, 2), F(1, 3), F(1)), 5)
 
     def test_forced_invalid_gap_turns_a_t_negative(self):
-        # alpha - beta = 1.5 violates the gate; bypassing it makes the
-        # odd-index down-two weight negative, so the gate is necessary
-        _, _, t, _, _ = _formula_row(Parameters(2.0, 0.5, 0.0), 3)
+        # alpha - beta = 1.5 violates the gate; reaching the formulas past
+        # it makes the odd-index down-two weight negative, so the gate is
+        # necessary
+        _, _, t, _, _ = _formula_row(SimpleNamespace(alpha=2.0, beta=0.5, gamma=0.0), 3)
         assert t < 0
+
+
+# each form's scalars, the admissible region's edges and non-finite values
+# included; a triple holds one type
+FLOAT_TRIPLES = st.tuples(
+    *[st.floats(-3, 3) | st.floats() | st.sampled_from([-1.0, 0.0, 1.0])] * 3
+)
+FRACTION_TRIPLES = st.tuples(
+    *[st.fractions(-3, 3, max_denominator=12) | st.sampled_from([F(10**400), F(-(10**400))])] * 3
+)
+INTEGER_TRIPLES = st.tuples(
+    *[st.integers(-2, 4) | st.booleans() | st.sampled_from([10**400, -(10**400)])] * 3
+)
+
+
+class TestConstructors:
+    """Each form checks its fields when a triple is built, with the text
+    of the check it replaces, on every path that builds one."""
+
+    @settings(max_examples=300)
+    @given(FLOAT_TRIPLES | FRACTION_TRIPLES)
+    def test_general_form_is_built_exactly_on_the_admissible_region(self, triple):
+        alpha, beta, _ = triple
+        admissible = all(-1 < v < math.inf for v in triple) and abs(alpha - beta) < 1
+        text = raised(Parameters, *triple)
+        assert (text == "") == admissible
+        assert text == old_text(triple)
+        if admissible:
+            assert Parameters(*triple) == triple
+
+    @settings(max_examples=300)
+    @given(INTEGER_TRIPLES)
+    def test_integer_form_is_built_exactly_on_the_admissible_region(self, triple):
+        M, N, gamma = triple
+        admissible = all(type(v) is int for v in triple) and M >= 1 and N >= 1 and gamma >= 0
+        text = raised(IntegerParameters, *triple)
+        assert (text == "") == admissible
+        assert text == old_text(triple, integer=True)
+
+    @pytest.mark.parametrize("triple, text", [
+        ((-1.0, 0.0, 0.0), "alpha must be > -1 (got -1.0); |alpha - beta| must be < 1 (got 1.0)"),
+        ((0.0, -1.5, 0.0), "beta must be > -1 (got -1.5); |alpha - beta| must be < 1 (got 1.5)"),
+        ((0.0, 0.0, -2.0), "gamma must be > -1 (got -2.0)"),
+        ((2.0, 0.5, 0.0), "|alpha - beta| must be < 1 (got 1.5)"),
+        ((float("nan"), 0.3, 1.0),
+         "alpha must be finite (got nan); |alpha - beta| must be < 1 (got nan)"),
+        ((-2.0, 0.5, -3.0),
+         "alpha must be > -1 (got -2.0); gamma must be > -1 (got -3.0); "
+         "|alpha - beta| must be < 1 (got 2.5)"),
+        ((F(-1), F(0), F(10**400)),
+         "alpha must be > -1 (got -1); |alpha - beta| must be < 1 (got 1)"),
+    ])
+    def test_general_form_names_every_violation(self, triple, text):
+        assert raised(Parameters, *triple) == text
+
+    @pytest.mark.parametrize("triple, text", [
+        ((0, 3, 1), "M must be >= 1 (got 0)"),
+        ((0, 0, -1),
+         "M must be >= 1 (got 0); N must be >= 1 (got 0); gamma must be >= 0 (got -1)"),
+        # the int checks come first: no bound is named while one fails
+        ((-2, 2.0, -1), "N must be an integer (got 2.0)"),
+        ((True, 3, False), "M must be an integer (got True); gamma must be an integer (got False)"),
+    ])
+    def test_integer_form_names_every_violation(self, triple, text):
+        assert raised(IntegerParameters, *triple) == text
+
+    def test_replace_and_make_check_as_the_constructor(self):
+        p = Parameters(0.5, 0.3, 1.0)
+        assert raised(p._replace, gamma=-5) == "gamma must be > -1 (got -5)"
+        assert raised(Parameters._make, (0.5, 2.0, 0.0)) == "|alpha - beta| must be < 1 (got 1.5)"
+        ip = IntegerParameters(2, 3, 1)
+        assert raised(ip._replace, M=0) == "M must be >= 1 (got 0)"
+        assert raised(IntegerParameters._make, (2, 3, -1)) == "gamma must be >= 0 (got -1)"
+        # and still build the admissible triples, as their own type
+        assert type(p._replace(gamma=2.0)) is Parameters
+        assert IntegerParameters._make((2, 3, 4)) == ip._replace(gamma=4) == (2, 3, 4)
 
 
 class TestGeneralFormulas:

@@ -52,6 +52,19 @@ class TestUrnCompositions:
     def test_absorbing_state_prepares_nothing(self):
         assert urn_slots(IP, 0)[1:] == (_NO_URN,) * 3
 
+    @pytest.mark.parametrize("entry", [
+        lambda p: sample_endpoints(p, 5, 1, 10, 1),
+        lambda p: composite_distribution(p, 5),
+        lambda p: enumerate_step_distribution(p, 5, 2),
+        lambda p: run_trajectory(p, 5, 1, RngStream(1)),
+    ], ids=["sample_endpoints", "composite_distribution", "enumerate_step_distribution",
+            "run_trajectory"])
+    def test_urns_refuse_a_general_triple(self, entry):
+        # the one place that turns parameters into ball counts names the
+        # form it takes, not a missing attribute
+        with pytest.raises(TypeError, match="takes IntegerParameters, not Parameters"):
+            entry(IP.as_parameters())
+
     def test_birth_urn_even_and_odd(self):
         assert urn_slots(IP, 0)[0] == (4, 7)
         assert urn_slots(IntegerParameters(1, 1, 0), 1)[0] == (2, 4)
