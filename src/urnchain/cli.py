@@ -144,8 +144,9 @@ def _emit(args, params, command: str, key=None, header=(), text=(), /, **fields)
     lines; else one JSON envelope, schema, command and parameters beside
     the command's own ``fields``, keys sorted, with ``text``, the table's
     row objects, as the list under ``key`` (the verify report has no
-    table and no ``key``).  Every float cell is finite (see
-    :func:`_exact`), so nothing raises once the first byte is written."""
+    table and no ``key``).  Nothing raises once the first byte is written:
+    every float cell is finite (see :func:`_exact`), and trajectory lanes,
+    drawn as their rows are written, had every urn checked before."""
     payload = {"schema": SCHEMA, "command": command, "parameters": _parameters_payload(params)}
     payload.update(fields)
     if key is None:
@@ -232,7 +233,7 @@ def cmd_simulate(args, params) -> int:
         header = ["state", "count"]
         return _emit(args, params, "simulate", "counts", header,
                      _row_text(args.format, header, sorted(counts.items())), **meta)
-    paths = urns._sample_paths(
+    chunks = urns._sample_paths(
         params, args.initial, experiment, args.trials, args.seed,
         steps=args.steps, threads=args.threads,
     )
@@ -240,19 +241,19 @@ def cmd_simulate(args, params) -> int:
     labels = itertools.chain([(0, 0)], itertools.product(range(1, args.steps + 1), sub_steps))
     header = ["trial", "step", "sub_step", "state"]
     return _emit(args, params, "simulate", "rows", header,
-                 _trajectory_text(args.format, paths, labels), **meta)
+                 _trajectory_text(args.format, chunks, labels), **meta)
 
 
-def _trajectory_text(fmt: str, paths, labels) -> Iterator[str]:
+def _trajectory_text(fmt: str, chunks, labels) -> Iterator[str]:
     """The trajectory table's rows, one row per path entry in trial
     order, in pieces: CSV lines, or row objects joined for
-    :func:`_json_chunks`.  ``labels`` is each path entry's (step,
-    sub_step).  One trial's text is built once as a template, in
-    segments of at most :data:`_BLOCK_ROWS` rows: those labels written
-    in, each state a ``%d`` field and the trial number
-    :data:`_TRIAL_MARKER`; the str() of an int is its CSV and its JSON
-    text.  A piece holds at most :data:`_BLOCK_ROWS` rows: whole trials,
-    or one segment of a longer trial."""
+    :func:`_json_chunks`.  ``chunks`` yields the paths, a row per trial,
+    read a chunk at a time; ``labels`` is each path entry's (step,
+    sub_step).  One trial's text is built once as a template, in segments
+    of at most :data:`_BLOCK_ROWS` rows: those labels written in, each
+    state a ``%d`` field and the trial number :data:`_TRIAL_MARKER`; the
+    str() of an int is its CSV and its JSON text.  A piece holds at most
+    :data:`_BLOCK_ROWS` rows: whole trials, or one segment of a longer one."""
     if fmt == "json":
         # an indent=2 row object at depth 2, its keys in sort_keys order
         rows = (
@@ -266,16 +267,19 @@ def _trajectory_text(fmt: str, paths, labels) -> Iterator[str]:
     templates = []
     while segment := list(itertools.islice(rows, _BLOCK_ROWS)):
         templates.append(separator.join(segment))
-    # a trial of one segment shares its piece with the next trials; a
-    # longer one fills pieces alone
-    trials = max(1, _BLOCK_ROWS // paths.shape[1])
-    for first in range(0, len(paths), trials):
-        for start, template in zip(itertools.count(0, _BLOCK_ROWS), templates):
-            block = paths[first:first + trials, start:start + _BLOCK_ROWS].tolist()
-            yield separator.join(
-                template.replace(_TRIAL_MARKER, str(trial)) % tuple(states)
-                for trial, states in enumerate(block, first)
-            )
+    numbered = 0
+    for paths in chunks:
+        # a trial of one segment shares its piece with the next trials; a
+        # longer one fills pieces alone
+        trials = max(1, _BLOCK_ROWS // paths.shape[1])
+        for first in range(0, len(paths), trials):
+            for start, template in zip(itertools.count(0, _BLOCK_ROWS), templates):
+                block = paths[first:first + trials, start:start + _BLOCK_ROWS].tolist()
+                yield separator.join(
+                    template.replace(_TRIAL_MARKER, str(trial)) % tuple(states)
+                    for trial, states in enumerate(block, numbered + first)
+                )
+        numbered += len(paths)
 
 
 def cmd_compare(args, params) -> int:

@@ -17,15 +17,14 @@ floating-point probability; the exact enumeration oracle walks the same
 draw tree with Fraction branch weights, and the vectorized sampler
 writes the same slots in place into one int64 numpy array of the states
 its lanes draw from (64 bytes per state).
-That sampler is the only one the CLI runs: ``simulate --aggregate`` and
-``compare`` keep each lane's last state, trajectory mode every
-sub-state, so a trajectory depends on (seed, trials) as the counts do.
-The scalar step functions and :func:`run_trajectory` stay as the
-ball-level reference with a draw record.  Each draw is one
-``gen.integers`` call with an int64 bound, so drawing from an urn of
-more than 2**63 - 1 balls raises :class:`ParameterError`; the vectorized
-sampler checks every urn a lane can draw from, and no other, before its
-first draw.
+That sampler, :func:`_walk`, is the only sampling loop: the CLI's
+commands keep each lane's last state or every sub-state, and
+:func:`run_trajectory` is one lane.  A lane alone in its chunk draws
+exactly the balls of the scalar step functions, the ball-level reference
+with a draw record.  Each draw is one ``gen.integers`` call with an
+int64 bound, so drawing from an urn of more than 2**63 - 1 balls raises
+:class:`ParameterError`; the vectorized sampler checks every urn a lane
+can draw from, and no other, before its first draw.
 
 numpy is imported with this module.  Of the CLI's commands only
 ``simulate`` and ``compare`` import it, so the others start without numpy.
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -155,18 +154,12 @@ def composite_step(
 def run_trajectory(
     ip: IntegerParameters, initial_state: int, steps: int, stream: RngStream
 ) -> Trajectory:
-    """Iterate the composite step, recording both sub-states per step.
-    Deterministic in (stream.seed, stream.stream_id)."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0 (got {steps})")
-    gen = stream.generator()
-    m = initial_state
-    states = []
-    for _ in range(steps):
-        first, second = composite_step(ip, m, gen)
-        states.append((first.end_state, second.end_state))
-        m = second.end_state
-    return Trajectory(initial_state, tuple(states), stream)
+    """One lane of :func:`_walk`, chunk 0 on ``stream``: the balls of
+    :func:`composite_step` looped on ``stream.generator()``.  Refuses a
+    start state below 0 or above 2**63 - 1 as :func:`sample_endpoints`."""
+    (path,) = _walk(ip, initial_state, COMPOSITE, 1, stream.seed, steps, stream.stream_id, 1,
+                    lambda lanes: [states.item() for states in lanes])
+    return Trajectory(initial_state, tuple(zip(path[1::2], path[2::2])), stream)
 
 
 def enumerate_step_distribution(
@@ -289,13 +282,15 @@ def _walk(
     steps: int,
     stream_offset: int,
     threads: int,
-    collect: Callable[[int, Iterator[np.ndarray]], object],
-) -> list:
+    collect: Callable[[Iterator[np.ndarray]], object],
+) -> Iterable:
     """Run the trials in chunks of at most CHUNK_TRIALS lanes, chunk i
     drawing from ``RngStream(seed, stream_offset + i)`` on up to
     ``threads`` threads, no more than chunks or usable CPUs, and return
-    ``collect(i, lanes)`` per chunk in chunk order.  ``lanes`` yields the
-    chunk's lane states: the start, then the states after each sub-step."""
+    ``collect(lanes)`` per chunk in chunk order: at one worker lazily,
+    after the checks and the urn table.  ``lanes`` yields the chunk's
+    lane states: the start, then the states after each sub-step.  A lane
+    alone in its chunk draws the scalar step functions' balls."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
     if trials < 0:
@@ -322,9 +317,6 @@ def _walk(
                 states = _advance(table, states, part, gen)
                 yield states
 
-    def run(index: int):
-        return collect(index, lanes(index))
-
     chunks = range(-(-trials // CHUNK_TRIALS))
     # map submits every chunk at once, and each submit starts a thread
     # while fewer than max_workers run
@@ -337,8 +329,8 @@ def _walk(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, chunks))
-    return [run(index) for index in chunks]
+            return list(pool.map(collect, map(lanes, chunks)))
+    return map(collect, map(lanes, chunks))
 
 
 def sample_endpoints(
@@ -362,14 +354,14 @@ def sample_endpoints(
     Faster than looping the per-step functions: draws are vectorized per
     chunk against the ball counts of the scalar urns, read through one
     int64 table of the states a lane draws from (about 64 bytes per
-    state).  The per-trial draw sequence therefore differs from the
-    scalar step functions; the end-state distribution is identical.
+    state).  A trial alone in its chunk draws the scalar step functions'
+    balls, others differ; the end-state distribution is identical.
     The CLI's trajectory mode walks the same chunks, so its last states
     are these counts.  Raises :class:`ParameterError` when an urn a lane
     draws from holds more than 2**63 - 1 balls.
     """
 
-    def count(_: int, lanes: Iterator[np.ndarray]) -> Counter:
+    def count(lanes: Iterator[np.ndarray]) -> Counter:
         for states in lanes:
             pass
         values, counts = np.unique(states, return_counts=True)
@@ -392,18 +384,19 @@ def _sample_paths(
     *,
     steps: int,
     threads: int,
-) -> np.ndarray:
-    """Every trial's path as one row of a (trials, 1 + steps * sub_steps)
-    int64 array: the start, then the state after each sub-step (two per
-    composite step, experiment 1 then 2).  Same chunks and streams as
+) -> Iterable[np.ndarray]:
+    """Each chunk's paths, a (lanes, 1 + steps * sub_steps) int64 array of
+    the start and the state after each sub-step (two per composite step,
+    experiment 1 then 2).  Same chunks and streams as
     :func:`sample_endpoints`, whose counts are the last column's."""
-    sub_steps = 2 if experiment == COMPOSITE else 1
-    paths = np.empty((trials, 1 + steps * sub_steps), dtype=np.int64)
+    columns = 1 + steps * (2 if experiment == COMPOSITE else 1)
 
-    def fill(index: int, lanes: Iterator[np.ndarray]) -> None:
-        rows = paths[index * CHUNK_TRIALS : (index + 1) * CHUNK_TRIALS]
-        for column, states in enumerate(lanes):
-            rows[:, column] = states
+    def fill(lanes: Iterator[np.ndarray]) -> np.ndarray:
+        states = next(lanes)  # the loop rebinds it, freeing the start once copied
+        paths = np.empty((len(states), columns), dtype=np.int64)
+        paths[:, 0] = states
+        for column, states in enumerate(lanes, 1):
+            paths[:, column] = states
+        return paths
 
-    _walk(ip, initial_state, experiment, trials, seed, steps, 0, threads, fill)
-    return paths
+    return _walk(ip, initial_state, experiment, trials, seed, steps, 0, threads, fill)

@@ -372,29 +372,36 @@ class TestSimulate:
     @pytest.mark.parametrize("block_rows", [1, 5, 2048])
     def test_trajectory_pieces_follow_the_paths(self, monkeypatch, block_rows):
         # the rows as trajectory mode once enumerated them are the
-        # reference; blocks of 5 rows split the 7-entry paths
+        # reference; chunks of 2 lanes split the 5 trials, and blocks of
+        # 5 rows split the 7-entry paths
         monkeypatch.setattr("urnchain.cli._BLOCK_ROWS", block_rows)
-        paths = _sample_paths(IntegerParameters(2, 3, 1), 4, COMPOSITE, 5, 7, steps=3, threads=1)
+        monkeypatch.setattr("urnchain.urns.CHUNK_TRIALS", 2)
+        chunks = list(
+            _sample_paths(IntegerParameters(2, 3, 1), 4, COMPOSITE, 5, 7, steps=3, threads=1)
+        )
+        assert [len(paths) for paths in chunks] == [2, 2, 1]
         labels = [(0, 0)] + [(step, sub) for step in range(1, 4) for sub in (1, 2)]
-        pieces = list(_trajectory_text("csv", paths, iter(labels)))
+        pieces = list(_trajectory_text("csv", iter(chunks), iter(labels)))
         assert all(piece.count("\n") <= block_rows for piece in pieces)
         rows = [tuple(map(int, line.split(","))) for line in "".join(pieces).splitlines()]
         assert rows == [
             (trial, step, sub, state)
-            for trial, path in enumerate(paths)
-            for (step, sub), state in zip(labels, path.tolist())
+            for trial, path in enumerate(np.concatenate(chunks).tolist())
+            for (step, sub), state in zip(labels, path)
         ]
 
     @given(st.data())
     def test_trajectory_text_equals_the_row_enumeration(self, data):
         # int64 paths of 0-5 trials and 0-4 steps of one or two sub-steps,
-        # written in pieces of at most 1-12 rows: whole trials, or
-        # segments of a longer trial
+        # split into chunks at up to three random trial boundaries and
+        # written in pieces of at most 1-12 rows: whole trials of one
+        # chunk, or segments of a longer trial
         sub_steps = data.draw(st.sampled_from([(1,), (1, 2)]))
         steps, trials = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 5))
         paths = data.draw(arrays(
             np.int64, (trials, 1 + steps * len(sub_steps)), elements=st.integers(0, 2**63 - 1)
         ))
+        cuts = sorted(data.draw(st.lists(st.integers(0, trials), max_size=3)))
         labels = [(0, 0)] + [(step, sub) for step in range(1, steps + 1) for sub in sub_steps]
         rows = [
             (trial, step, sub, state)
@@ -404,8 +411,8 @@ class TestSimulate:
         header = ["trial", "step", "sub_step", "state"]
         payload = {"command": "simulate", "seed": 0, "trials": trials}
         with mock.patch("urnchain.cli._BLOCK_ROWS", data.draw(st.integers(1, 12))):
-            text = "".join(_trajectory_text("csv", paths, iter(labels)))
-            objects = _trajectory_text("json", paths, iter(labels))
+            text = "".join(_trajectory_text("csv", np.split(paths, cuts), iter(labels)))
+            objects = _trajectory_text("json", np.split(paths, cuts), iter(labels))
             streamed = "".join(_json_chunks(payload, "rows", objects))
         cells = io.StringIO()
         csv.writer(cells, lineterminator="\n").writerows(rows)
@@ -733,6 +740,28 @@ class TestJsonTable:
         # of the JSON rows peaked at 162 MiB
         assert path.stat().st_size > {"csv": 1_800_000, "json": 13_000_000}[fmt]
         assert peak < 4 << 20
+
+    def test_trajectory_memory_holds_two_chunks_at_one_thread(self, monkeypatch, tmp_path):
+        # four chunks of 256 trials of 501-entry paths, about 1 MB each:
+        # the writer drains one chunk while the next is drawn, where a
+        # run-long array of paths would hold all four
+        import numpy  # noqa: F401  (loaded untraced: its import is no chunk's memory)
+
+        monkeypatch.setattr("urnchain.urns.CHUNK_TRIALS", 256)
+        steps = 250
+        chunk = 256 * (1 + 2 * steps) * 8
+        path = tmp_path / "paths.csv"
+        tracemalloc.start()
+        try:
+            code = main([
+                "simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "20",
+                "--steps", str(steps), "--trials", str(4 * 256), "--output", str(path),
+            ])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and path.stat().st_size > 6_000_000
+        assert peak < 2.5 * chunk
 
 
 # flag values that each parse, fail to parse, or trip a gate: NaN,

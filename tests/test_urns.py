@@ -276,6 +276,43 @@ class TestTrajectories:
             for after_death, after_birth in trajectory.states:
                 assert after_death >= 0 and after_birth >= 0
 
+    @pytest.mark.parametrize("start, error", [(-1, ValueError), (2**70, ParameterError)])
+    def test_start_outside_the_lanes_is_refused(self, start, error):
+        # as sample_endpoints refuses it: a lane holds an int64 state >= 0
+        match = "initial_state must be >= 0" if start < 0 else "int64 limit"
+        with pytest.raises(error, match=match):
+            run_trajectory(IP, start, 0, RngStream(1))
+        with pytest.raises(error, match=match):
+            sample_endpoints(IP, start, COMPOSITE, 1, 1, steps=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(1, 2**31), st.integers(1, 1000)),
+        swap=st.booleans(),
+        gamma=st.integers(0, 10),
+        initial=st.integers(0, 40),
+        steps=st.integers(0, 30),
+        experiment=st.sampled_from(EXPERIMENTS),
+        seed=st.integers(0, 2**32),
+    )
+    def test_one_lane_draws_the_reference_balls(
+        self, sizes, swap, gamma, initial, steps, experiment, seed
+    ):
+        # the only lane of chunk 0 against the scalar steps looped on its
+        # stream's generator, with M or N up to 2**31
+        ip = IntegerParameters(*(sizes[::-1] if swap else sizes), gamma)
+        gen = RngStream(seed).generator()
+        parts = (experiment1_step, experiment2_step)
+        if experiment != COMPOSITE:
+            parts = (parts[experiment - 1],)
+        m, path = initial, [initial]
+        for _ in range(steps):
+            for step in parts:
+                m = step(ip, m, gen).end_state
+                path.append(m)
+        (lane,) = urns._sample_paths(ip, initial, experiment, 1, seed, steps=steps, threads=1)
+        assert lane.tolist() == [path]
+
 
 def serial_pool(monkeypatch) -> list:
     """Swap the sampler's thread pool for one that maps serially, so no
