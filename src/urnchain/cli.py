@@ -237,7 +237,7 @@ def cmd_simulate(args, params) -> int:
         params, args.initial, experiment, args.trials, args.seed,
         steps=args.steps, threads=args.threads,
     )
-    sub_steps = (1, 2) if experiment == urns.COMPOSITE else (1,)
+    sub_steps = range(1, len(urns._PARTS[experiment]) + 1)
     labels = itertools.chain([(0, 0)], itertools.product(range(1, args.steps + 1), sub_steps))
     header = ["trial", "step", "sub_step", "state"]
     return _emit(args, params, "simulate", "rows", header,

@@ -36,7 +36,7 @@ class ParameterError(ValueError):
 
 
 def _make_checked(cls, iterable):
-    """A triple from ``iterable`` through ``cls(...)``, so ``_make`` and
+    """A value from ``iterable`` through ``cls(...)``, so ``_make`` and
     ``_replace``, which calls it, check the fields as the constructor does
     (namedtuple's own ``_make`` skips ``__new__``)."""
     return cls(*iterable)

@@ -33,20 +33,23 @@ numpy is imported with this module.  Of the CLI's commands only
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import _NO_URN, IntegerParameters, ParameterError, urn_slots
+from .coefficients import _NO_URN, IntegerParameters, ParameterError, _make_checked, urn_slots
 
 BLUE = "blue"
 RED = "red"
 COMPOSITE = "composite"
 
-EXPERIMENTS = (1, 2, COMPOSITE)
+# the parts one step of each experiment runs, in order, as the sampler and the
+# CLI read them; the reference steps and exact laws, their oracles, hard-code it
+_PARTS = {1: (1,), 2: (2,), COMPOSITE: (1, 2)}
+EXPERIMENTS = tuple(_PARTS)
 
 # fixed Monte Carlo chunk so results depend on (seed, stream offset)
 # only, never on thread count
@@ -73,6 +76,8 @@ class RngStream(NamedTuple("RngStream", [("seed", int), ("stream_id", int)])):
         if stream_id < 0:
             raise ValueError(f"stream_id must be >= 0 (got {stream_id})")
         return super().__new__(cls, seed, stream_id)
+
+    _make = classmethod(_make_checked)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -206,29 +211,26 @@ def composite_distribution(ip: IntegerParameters, m: int) -> dict[int, Fraction]
 
 
 def _urn_table(
-    ip: IntegerParameters, initial_state: int, steps: int, experiment
+    ip: IntegerParameters, initial_state: int, steps: int, parts: tuple[int, ...]
 ) -> tuple[int, np.ndarray]:
     """(lo, columns): int64 rows (blue, total) whose column 4(m - lo) + k
     holds slot k of :func:`urn_slots` at state m, for every state m in
-    lo..hi a lane of a run of ``steps`` >= 1 steps draws from.  The int64
-    bound is checked on exactly the urns a lane can draw from.
+    lo..hi a lane draws from in ``steps`` >= 1 steps of ``parts``, a value
+    of :data:`_PARTS`.  The int64 bound is checked on exactly those urns.
 
-    A lane's second experiment-1 draw reads slot 2 + first_blue.  Slots
-    no lane draws from (the other experiment's, and states one experiment
-    reaches only for the other) hold the dummy (0, 1), always red, which
-    ``urn_slots`` itself returns where a state has no urn.
+    A lane's second experiment-1 draw reads slot 2 + first_blue (slot 0
+    is experiment 2's).  Slots no lane draws from (a part's that no step
+    runs, and states one part reaches only for the other) hold the dummy
+    (0, 1), always red, which ``urn_slots`` itself returns for no urn.
     """
-    # before step k (1-based) a lane is at most 2(k - 1) below its start,
-    # and k - 1 above it in the composite chain, where experiment 2 draws
-    # after experiment 1 has lowered the state by up to two more
-    up = 1 if experiment == 1 else steps
-    death = range(max(0, initial_state - 2 * (steps - 1)), initial_state + up)
-    birth = range(max(0, initial_state - 2 * steps), initial_state + steps)
-    if experiment == 1:
-        birth = range(0)
-    if experiment == 2:
-        death, birth = range(0), range(initial_state, initial_state + steps)
-    lo, hi = (birth or death).start, initial_state + up
+    # a part's last draw follows steps - 1 steps and the parts before it; each
+    # experiment 1 lowers a lane by up to two (not below 0), each 2 raises it by one
+    reach = {}
+    for index, part in enumerate(parts):
+        down, up = ((steps - 1) * parts.count(kind) + parts[:index].count(kind) for kind in (1, 2))
+        reach[part] = range(max(0, initial_state - 2 * down), initial_state + up + 1)
+    death, birth = reach.get(1, ()), reach.get(2, ())
+    lo, hi = min(r.start for r in reach.values()), max(r.stop for r in reach.values())
     size = 4 * (hi - lo)
     # the one copy of the table: every blue count, then every total
     table = np.zeros((2, size), dtype=np.int64)
@@ -287,9 +289,10 @@ def _walk(
     """Run the trials in chunks of at most CHUNK_TRIALS lanes, chunk i
     drawing from ``RngStream(seed, stream_offset + i)`` on up to
     ``threads`` threads, no more than chunks or usable CPUs, and return
-    ``collect(lanes)`` per chunk in chunk order: at one worker lazily,
-    after the checks and the urn table.  ``lanes`` yields the chunk's
-    lane states: the start, then the states after each sub-step.  A lane
+    ``collect(lanes)`` per chunk, lazily in chunk order, after the checks
+    and the urn table; a pool runs at most workers + 1 chunks ahead of
+    the reader.  ``lanes`` yields the chunk's lane states: the start, then
+    the states after each part (see :data:`_PARTS`) of each step.  A lane
     alone in its chunk draws the scalar step functions' balls."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
@@ -303,9 +306,9 @@ def _walk(
         raise ParameterError(
             f"start state {initial_state} is above the int64 limit 2**63 - 1 = {_INT64_MAX}"
         )
+    parts = _PARTS[experiment]
     # built only when some lane draws, so a drawless call never raises
-    table = _urn_table(ip, initial_state, steps, experiment) if trials > 0 and steps > 0 else None
-    parts = (1, 2) if experiment == COMPOSITE else (experiment,)
+    table = _urn_table(ip, initial_state, steps, parts) if trials > 0 and steps > 0 else None
 
     def lanes(index: int) -> Iterator[np.ndarray]:
         gen = RngStream(seed, stream_offset + index).generator()
@@ -317,10 +320,10 @@ def _walk(
                 states = _advance(table, states, part, gen)
                 yield states
 
-    chunks = range(-(-trials // CHUNK_TRIALS))
-    # map submits every chunk at once, and each submit starts a thread
-    # while fewer than max_workers run
-    workers = min(threads, len(chunks), _usable_cpus())
+    chunks = -(-trials // CHUNK_TRIALS)
+    chunk_lanes = map(lanes, range(chunks))
+    # each submit starts a thread while fewer than max_workers run
+    workers = min(threads, chunks, _usable_cpus())
     if workers > 1:
         # imported here, not with the module: concurrent.futures takes
         # 4.5-9 ms to import (Python 3.11, 2 vCPUs), single-thread runs
@@ -328,9 +331,19 @@ def _walk(
         # ThreadPoolExecutor in concurrent.futures itself
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(collect, map(lanes, chunks)))
-    return map(collect, map(lanes, chunks))
+        def handed_on() -> Iterator:
+            # Executor.map would submit every chunk before the first result
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                ahead = deque()
+                for chunk in chunk_lanes:
+                    ahead.append(pool.submit(collect, chunk))
+                    if len(ahead) > workers:
+                        yield ahead.popleft().result()
+                while ahead:
+                    yield ahead.popleft().result()
+
+        return handed_on()
+    return map(collect, chunk_lanes)
 
 
 def sample_endpoints(
@@ -385,15 +398,14 @@ def _sample_paths(
     steps: int,
     threads: int,
 ) -> Iterable[np.ndarray]:
-    """Each chunk's paths, a (lanes, 1 + steps * sub_steps) int64 array of
-    the start and the state after each sub-step (two per composite step,
-    experiment 1 then 2).  Same chunks and streams as
-    :func:`sample_endpoints`, whose counts are the last column's."""
-    columns = 1 + steps * (2 if experiment == COMPOSITE else 1)
+    """Each chunk's paths, as :func:`_walk` hands them on: a (lanes, 1 +
+    steps * parts) int64 array of the start and the state after each of
+    the experiment's :data:`_PARTS` in each step.  Same chunks and streams
+    as :func:`sample_endpoints`, whose counts are the last column's."""
 
     def fill(lanes: Iterator[np.ndarray]) -> np.ndarray:
         states = next(lanes)  # the loop rebinds it, freeing the start once copied
-        paths = np.empty((len(states), columns), dtype=np.int64)
+        paths = np.empty((len(states), 1 + steps * len(_PARTS[experiment])), dtype=np.int64)
         paths[:, 0] = states
         for column, states in enumerate(lanes, 1):
             paths[:, column] = states

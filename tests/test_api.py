@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,37 @@ def test_value_types_reject_assignment(name):
     value, field = value_types()[name]
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
+
+
+def input_checks() -> dict:
+    """Calls that break one input check of the library each, keyed by
+    test id, with the error each must raise."""
+    from urnchain.coefficients import urn_slots
+
+    ip = urnchain.IntegerParameters(2, 3, 1)
+    # x_0 = 0: the chain cannot leave state 0, so q_1 is undefined
+    stuck = urnchain.LUCoefficients(*[(Fraction(value),) * 2 for value in (0, 1, 1, 0, 0)])
+    mixed = urnchain.BandedMatrix.from_rows(2, 0, 0, [(0.5,), (Fraction(1, 2),)])
+    return {
+        "walk-experiment": (lambda: urnchain.sample_endpoints(ip, 0, 3, 1, 1),
+                            r"experiment must be one of \(1, 2, 'composite'\) \(got 3\)"),
+        "walk-trials": (lambda: urnchain.sample_endpoints(ip, 0, 1, -1, 1),
+                        r"trials must be >= 0 \(got -1\)"),
+        "walk-steps": (lambda: urnchain.sample_endpoints(ip, 0, 1, 1, 1, steps=-1),
+                       r"steps must be >= 0 \(got -1\)"),
+        "urn-slots-state": (lambda: urn_slots(ip, -1), r"state must be >= 0 \(got -1\)"),
+        "lu-coefficients-n-max": (lambda: urnchain.lu_coefficients(ip.as_parameters(), -1),
+                                  r"n_max must be >= 0 \(got -1\)"),
+        "polynomials-n-max": (lambda: urnchain.evaluate_polynomials(stuck, 1, -1),
+                              r"n_max must be >= 0 \(got -1\)"),
+        "polynomials-up-probability": (lambda: urnchain.evaluate_polynomials(stuck, 1, 1),
+                                       r"up probability a_0 = 0 is not positive"),
+        "scalar-kind-mixed": (mixed.scalar_kind, r"matrix mixes float and Fraction entries"),
+    }
+
+
+@pytest.mark.parametrize("check", sorted(input_checks()))
+def test_library_input_checks_raise(check):
+    call, message = input_checks()[check]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -741,27 +741,43 @@ class TestJsonTable:
         assert path.stat().st_size > {"csv": 1_800_000, "json": 13_000_000}[fmt]
         assert peak < 4 << 20
 
-    def test_trajectory_memory_holds_two_chunks_at_one_thread(self, monkeypatch, tmp_path):
-        # four chunks of 256 trials of 501-entry paths, about 1 MB each:
-        # the writer drains one chunk while the next is drawn, where a
-        # run-long array of paths would hold all four
-        import numpy  # noqa: F401  (loaded untraced: its import is no chunk's memory)
-
+    @staticmethod
+    def trajectory_peak(monkeypatch, tmp_path, chunks: int, threads: int) -> float:
+        """Traced peak memory, in chunks, of a trajectory run of ``chunks``
+        chunks of 256 trials of 501-entry paths, about 1 MB each, on
+        ``threads`` threads of as many usable CPUs."""
         monkeypatch.setattr("urnchain.urns.CHUNK_TRIALS", 256)
+        monkeypatch.setattr("urnchain.urns._usable_cpus", lambda: threads)
         steps = 250
         chunk = 256 * (1 + 2 * steps) * 8
         path = tmp_path / "paths.csv"
+        argv = ["simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "20",
+                "--output", str(path), "--threads", str(threads)]
+        # a warm-up run of two chunks loads, untraced, whatever the first
+        # run loads (numpy, the package's modules, the pool), which is no
+        # chunk's memory, so the bound holds for the test run alone
+        assert main([*argv, "--steps", "1", "--trials", "512"]) == 0
         tracemalloc.start()
         try:
-            code = main([
-                "simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "20",
-                "--steps", str(steps), "--trials", str(4 * 256), "--output", str(path),
-            ])
+            code = main([*argv, "--steps", str(steps), "--trials", str(chunks * 256)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == 0 and path.stat().st_size > 6_000_000
-        assert peak < 2.5 * chunk
+        assert code == 0 and path.stat().st_size > chunks * 1_500_000
+        return peak / chunk
+
+    def test_trajectory_memory_holds_two_chunks_at_one_thread(self, monkeypatch, tmp_path):
+        # the writer drains one chunk while the next is drawn, where a
+        # run-long array of paths would hold all four
+        assert self.trajectory_peak(monkeypatch, tmp_path, 4, 1) < 2.5
+
+    def test_trajectory_memory_holds_workers_plus_two_chunks_with_a_pool(
+        self, monkeypatch, tmp_path
+    ):
+        # two workers run at most three chunks ahead of the writer, which
+        # holds a fourth, where a pool that ran every chunk before the
+        # first byte would hold all eight
+        assert self.trajectory_peak(monkeypatch, tmp_path, 8, 2) < 4.5
 
 
 # flag values that each parse, fail to parse, or trip a gate: NaN,

@@ -1,4 +1,5 @@
 import concurrent.futures
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from urnchain.urns import (
     COMPOSITE,
     EXPERIMENTS,
     RngStream,
+    _PARTS,
     _advance,
     _urn_table,
     composite_distribution,
@@ -315,8 +317,9 @@ class TestTrajectories:
 
 
 def serial_pool(monkeypatch) -> list:
-    """Swap the sampler's thread pool for one that maps serially, so no
-    thread starts, and return the list its max_workers are appended to."""
+    """Swap the sampler's thread pool for one that runs each submitted
+    call at once, so no thread starts, and return the list its
+    max_workers are appended to."""
     started = []
 
     class SerialPool:
@@ -329,8 +332,10 @@ def serial_pool(monkeypatch) -> list:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     # the sampler imports the pool class from the package when it starts one
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
@@ -344,16 +349,23 @@ class TestBatchSampling:
         with pytest.raises(ValueError, match=r"^stream_id must be >= 0 \(got -1\)$"):
             RngStream(0, -1)
 
+    def test_stream_replace_and_make_check_as_the_constructor(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
+            RngStream._make((-1, 0))
+        with pytest.raises(ValueError, match=r"^stream_id must be >= 0 \(got -1\)$"):
+            RngStream(1)._replace(stream_id=-1)
+        assert RngStream._make((1, 2)) == RngStream(1)._replace(stream_id=2) == (1, 2)
+
     def test_drawless_lanes_leave_the_generator_as_is(self):
         # numpy answers the dummy (0, 1) urn without a draw, so generator
         # use depends on the lanes' states, not on the array length alone
-        table = _urn_table(IP, 0, 1, 1)
+        table = _urn_table(IP, 0, 1, (1,))
         gen = RngStream(5).generator()
         before = gen.bit_generator.state
         states = _advance(table, np.zeros(1000, dtype=np.int64), 1, gen)
         assert states.tolist() == [0] * 1000
         assert gen.bit_generator.state == before
-        _advance(_urn_table(IP, 0, 1, 2), states, 2, gen)
+        _advance(_urn_table(IP, 0, 1, (2,)), states, 2, gen)
         assert gen.bit_generator.state != before
 
     def test_counts_sum_to_trials(self):
@@ -390,6 +402,17 @@ class TestBatchSampling:
         assert started == [3]
         assert counts == sample_endpoints(IP, 2, COMPOSITE, 10 * CHUNK_TRIALS, 42)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_trials_past_sys_maxsize_chunks_stream(self, monkeypatch, threads):
+        # 10**30 trials are more chunks than len() of a range can count;
+        # the first chunk comes at once, and closing the walk stops the pool
+        monkeypatch.setattr(urns, "_usable_cpus", lambda: threads)
+        running = threading.active_count()
+        chunks = iter(urns._sample_paths(IP, 0, COMPOSITE, 10**30, 1, steps=1, threads=threads))
+        assert next(chunks).shape == (CHUNK_TRIALS, 3)
+        del chunks
+        assert threading.active_count() == running
+
     def test_seed_changes_counts(self):
         assert sample_endpoints(IP, 2, COMPOSITE, 10000, 1) != sample_endpoints(
             IP, 2, COMPOSITE, 10000, 2
@@ -417,7 +440,7 @@ class TestBatchSampling:
 
     def test_long_runs_never_go_negative(self):
         # 100 trials of 10^4 composite steps, watching every sub-state
-        table = _urn_table(IntegerParameters(1, 1, 0), 5, 10000, COMPOSITE)
+        table = _urn_table(IntegerParameters(1, 1, 0), 5, 10000, (1, 2))
         gen = RngStream(123).generator()
         states = np.full(100, 5, dtype=np.int64)
         lowest = 5
@@ -459,6 +482,18 @@ def table_urns(ip: IntegerParameters, m: int, death: set, birth: set) -> list:
     return [slot if lane_draws else None for slot, lane_draws in zip(urn_slots(ip, m), drawn)]
 
 
+def assert_table_holds(table, ip: IntegerParameters, death: set, birth: set) -> None:
+    """``table`` spans the states drawn from, and holds their table_urns,
+    with the dummy (0, 1) where no lane draws."""
+    lo, (blue, total) = table
+    states = range(min(death | birth), max(death | birth) + 1)
+    assert lo == states.start and len(blue) == len(total) == 4 * len(states)
+    for m in states:
+        for k, slot in enumerate(table_urns(ip, m, death, birth)):
+            want = _NO_URN if slot is None else slot
+            assert (blue[4 * (m - lo) + k], total[4 * (m - lo) + k]) == want
+
+
 def too_large(ip: IntegerParameters, initial: int, steps: int, experiment) -> bool:
     death, birth = drawn_states(initial, steps, experiment)
     return any(
@@ -480,16 +515,22 @@ class TestUrnTable:
     def test_rows_equal_scalar_urns(self, ip, initial, steps, experiment):
         if too_large(ip, initial, steps, experiment):
             with pytest.raises(ParameterError, match="int64 limit"):
-                _urn_table(ip, initial, steps, experiment)
+                _urn_table(ip, initial, steps, _PARTS[experiment])
             return
         death, birth = drawn_states(initial, steps, experiment)
-        states = range(min(death | birth), max(death | birth) + 1)
-        lo, (blue, total) = _urn_table(ip, initial, steps, experiment)
-        assert lo == states.start and len(blue) == len(total) == 4 * len(states)
-        for m in states:
-            for k, slot in enumerate(table_urns(ip, m, death, birth)):
-                want = _NO_URN if slot is None else slot
-                assert (blue[4 * (m - lo) + k], total[4 * (m - lo) + k]) == want
+        assert_table_holds(_urn_table(ip, initial, steps, _PARTS[experiment]), ip, death, birth)
+
+    @pytest.mark.parametrize("initial, steps", [(0, 1), (1, 3), (6, 4), (21, 2)])
+    def test_reversed_order_covers_the_states_it_reaches(self, initial, steps):
+        # experiment 2, then 1, the order the Darboux step runs, walked
+        # out as drawn_states walks the experiments' own orders
+        death, birth, states = set(), set(), {initial}
+        for _ in range(steps):
+            birth |= states
+            states = {m + up for m in states for up in (0, 1)}
+            death |= states
+            states = {max(0, m - down) for m in states for down in (0, 1, 2)}
+        assert_table_holds(_urn_table(IP, initial, steps, (2, 1)), IP, death, birth)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -512,10 +553,10 @@ class TestUrnTable:
     def test_table_takes_64_bytes_per_state(self):
         # the warm-up call loads whatever the first call loads, which is no
         # table's memory; 10_000 composite steps from 20 draw at states 0..10019
-        _urn_table(IP, 20, 10, COMPOSITE)
+        _urn_table(IP, 20, 10, (1, 2))
         tracemalloc.start()
         try:
-            lo, table = _urn_table(IP, 20, 10_000, COMPOSITE)
+            lo, table = _urn_table(IP, 20, 10_000, (1, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
