@@ -70,7 +70,7 @@ def chi_square_statistic(
     return statistic, len(expected) - 1
 
 
-# the bracket's upper end stops here: near x = 1500 the finite sums of
+# the bracket's upper end: near x = 1500 the finite sums of
 # _chi_square_tail start to underflow exp(-x/2) and overflow the terms
 _TAIL_X_MAX = 1024.0
 
@@ -79,8 +79,6 @@ def _chi_square_tail(x: float, dof: int) -> float:
     """Upper tail P(X > x) of the chi-square law with integer dof >= 1:
     the finite Poisson sum of Abramowitz & Stegun 26.4.4 for even dof,
     erfc plus the finite sum of 26.4.5 for odd dof."""
-    if x <= 0:
-        return 1.0
     half = x / 2
     if dof % 2 == 0:
         term = total = 1.0
@@ -102,10 +100,9 @@ def chi_square_threshold(dof: int, level: float = 0.999) -> float:
     fixed-seed acceptance cut: the smallest double q whose tail
     (Abramowitz & Stegun 26.4.4 / 26.4.5) is <= 1 - level.
 
-    Found by bisection over doubles: the bracket [0, 1] doubles its upper
-    end until the tail there is <= 1 - level, then halves until its
-    midpoint equals an end.  For dof 1, 2 and 3 at the default level this
-    returns the same doubles as ``scipy.stats.chi2.ppf``.  Raises
+    Found by bisection over doubles: the bracket [0, 1024] halves until
+    its midpoint equals an end.  For dof 1, 2 and 3 at the default
+    level this returns the same doubles as ``scipy.stats.chi2.ppf``.  Raises
     ValueError for a dof that is not an integer >= 1, a level outside
     (0, 1) (NaN included), and a quantile above 1024.
     """
@@ -114,11 +111,9 @@ def chi_square_threshold(dof: int, level: float = 0.999) -> float:
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1) (got {level!r})")
     alpha = 1 - level
-    low, high = 0.0, 1.0
-    while _chi_square_tail(high, dof) > alpha:
-        if high >= _TAIL_X_MAX:
-            raise ValueError(f"chi-square quantile above {_TAIL_X_MAX} (dof {dof}, level {level})")
-        low, high = high, 2 * high
+    if _chi_square_tail(_TAIL_X_MAX, dof) > alpha:
+        raise ValueError(f"chi-square quantile above {_TAIL_X_MAX} (dof {dof}, level {level})")
+    low, high = 0.0, _TAIL_X_MAX
     while True:
         mid = (low + high) / 2
         if mid in (low, high):

@@ -14,13 +14,13 @@ the parameters, the urn form for the commands that draw urns, and each
 of the command's flags against its lower bound, in the order the
 command declares them (see :func:`build_parser`).
 
-One writer, :func:`_emit`, writes every table and the verify report.  A
-table reaches it as the text of its rows, in pieces: CSV lines under the
-header, or JSON row objects that it sets into the one JSON envelope.
-``graph`` writes DOT.
+A command returns its exit code and its text in pieces, and writes
+nothing; :func:`_run` alone writes, to stdout or ``--output``.  The text
+of every table and the verify report comes from :func:`_emit`: CSV lines
+under the header, or JSON row objects set into the one JSON envelope.
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid parameters,
-3 verification failure.
+Exit codes: 0 success, 1 runtime failure (a closed stdout, silently),
+2 invalid parameters, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from fractions import Fraction
 
 
@@ -77,15 +77,6 @@ def _exact(row: list, **where) -> list:
             at = ", ".join(f"{name} = {key}" for name, key in where.items())
             raise ValueError(f"value {value} at {at} is not finite")
     return [str(value) if isinstance(value, Fraction) else value for value in row]
-
-
-@contextmanager
-def _output(path: str | None):
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        yield handle
 
 
 def _dumps(payload: dict) -> str:
@@ -138,26 +129,23 @@ def _json_array(objects) -> Iterator[str]:
     yield "[]" if opening[0] == "[" else "\n  ]"
 
 
-def _emit(args, params, command: str, key=None, header=(), text=(), /, **fields) -> int:
-    """The one writer of every table and the verify report: under
-    ``--format csv`` the ``header`` row, then ``text``, the table's CSV
-    lines; else one JSON envelope, schema, command and parameters beside
-    the command's own ``fields``, keys sorted, with ``text``, the table's
-    row objects, as the list under ``key`` (the verify report has no
-    table and no ``key``).  Nothing raises once the first byte is written:
-    every float cell is finite (see :func:`_exact`), and trajectory lanes,
-    drawn as their rows are written, had every urn checked before."""
+def _emit(args, params, command: str, key=None, header=(), text=(), /, **fields) -> Iterable[str]:
+    """The text of every table and the verify report, in pieces that
+    :func:`_run` writes: under ``--format csv`` the ``header`` row, then
+    ``text``, the table's CSV lines; else one JSON envelope, schema,
+    command and parameters beside the command's own ``fields``, keys
+    sorted, with ``text``, the table's row objects, as the list under
+    ``key`` (the verify report has no table and no ``key``).  Nothing
+    raises once a piece is written: every float cell is finite (see
+    :func:`_exact`), and trajectory lanes, drawn as they are written,
+    had every urn checked before."""
     payload = {"schema": SCHEMA, "command": command, "parameters": _parameters_payload(params)}
     payload.update(fields)
     if key is None:
-        chunks = [_dumps(payload)]
-    elif args.format == "csv":
-        chunks = itertools.chain([",".join(header) + "\n"], text)
-    else:
-        chunks = _json_chunks(payload, key, text)
-    with _output(args.output) as handle:
-        handle.writelines(chunks)
-    return 0
+        return [_dumps(payload)]
+    if args.format == "csv":
+        return itertools.chain([",".join(header) + "\n"], text)
+    return _json_chunks(payload, key, text)
 
 
 def _resolve_parameters(args) -> coefficients.Parameters | coefficients.IntegerParameters:
@@ -197,7 +185,7 @@ def _parameters_payload(params) -> dict:
     return {"form": form, **params._asdict()}
 
 
-def cmd_coeffs(args, params) -> int:
+def cmd_coeffs(args, params) -> tuple[int, Iterable[str]]:
     coeffs = coefficients.lu_coefficients(params, args.n_max)
     header = ["n", "x", "y", "t", "r", "s", "a", "b", "c", "d"]
     rows = []
@@ -208,20 +196,19 @@ def cmd_coeffs(args, params) -> int:
              trow.a, trow.b, trow.c, trow.d],
             n=n,
         ))
-    return _emit(args, params, "coeffs", "rows", header, _row_text(args.format, header, rows))
+    return 0, _emit(args, params, "coeffs", "rows", header, _row_text(args.format, header, rows))
 
 
-def cmd_verify(args, params) -> int:
+def cmd_verify(args, params) -> tuple[int, Iterable[str]]:
     if not (args.tolerance is None or 0 <= args.tolerance < math.inf):
         raise coefficients.ParameterError(
             f"--tolerance must be a finite number >= 0 (got {args.tolerance})"
         )
     report = banded.verify_lu(params, args.T, tolerance=args.tolerance)
-    _emit(args, params, "verify", **report.to_dict())
-    return 0 if report.passed else 3
+    return 0 if report.passed else 3, _emit(args, params, "verify", **report.to_dict())
 
 
-def cmd_simulate(args, params) -> int:
+def cmd_simulate(args, params) -> tuple[int, Iterable[str]]:
     experiment = urns.COMPOSITE if args.experiment == "composite" else int(args.experiment)
     meta = dict(experiment=args.experiment, initial=args.initial, steps=args.steps,
                 trials=args.trials, seed=args.seed)
@@ -231,8 +218,8 @@ def cmd_simulate(args, params) -> int:
             steps=args.steps, threads=args.threads,
         )
         header = ["state", "count"]
-        return _emit(args, params, "simulate", "counts", header,
-                     _row_text(args.format, header, sorted(counts.items())), **meta)
+        return 0, _emit(args, params, "simulate", "counts", header,
+                        _row_text(args.format, header, sorted(counts.items())), **meta)
     chunks = urns._sample_paths(
         params, args.initial, experiment, args.trials, args.seed,
         steps=args.steps, threads=args.threads,
@@ -240,8 +227,8 @@ def cmd_simulate(args, params) -> int:
     sub_steps = range(1, len(urns._PARTS[experiment]) + 1)
     labels = itertools.chain([(0, 0)], itertools.product(range(1, args.steps + 1), sub_steps))
     header = ["trial", "step", "sub_step", "state"]
-    return _emit(args, params, "simulate", "rows", header,
-                 _trajectory_text(args.format, chunks, labels), **meta)
+    return 0, _emit(args, params, "simulate", "rows", header,
+                    _trajectory_text(args.format, chunks, labels), **meta)
 
 
 def _trajectory_text(fmt: str, chunks, labels) -> Iterator[str]:
@@ -282,7 +269,7 @@ def _trajectory_text(fmt: str, chunks, labels) -> Iterator[str]:
         numbered += len(paths)
 
 
-def cmd_compare(args, params) -> int:
+def cmd_compare(args, params) -> tuple[int, Iterable[str]]:
     header = ["initial", "trials", "tv_distance", "chi_square", "dof", "chi_square_0999", "ok"]
     rows = []
     for start in args.initial or [0]:
@@ -300,11 +287,11 @@ def cmd_compare(args, params) -> int:
             [start, args.trials, tv, statistic, dof, threshold, statistic <= threshold],
             initial=start,
         ))
-    return _emit(args, params, "compare", "rows", header, _row_text(args.format, header, rows),
-                 trials=args.trials, seed=args.seed)
+    return 0, _emit(args, params, "compare", "rows", header, _row_text(args.format, header, rows),
+                    trials=args.trials, seed=args.seed)
 
 
-def cmd_poly(args, params) -> int:
+def cmd_poly(args, params) -> tuple[int, Iterable[str]]:
     exact = isinstance(params, coefficients.IntegerParameters)
     texts = args.x or ["1"]
     # every point is checked first: the table can take seconds to build
@@ -331,23 +318,20 @@ def cmd_poly(args, params) -> int:
         evaluation = analysis.evaluate_polynomials(coeffs, point, args.n_max)
         for n, value in enumerate(evaluation.values):
             rows.append(_exact([point, n, value], x=text, n=n))
-    return _emit(args, params, "poly", "rows", header, _row_text(args.format, header, rows))
+    return 0, _emit(args, params, "poly", "rows", header, _row_text(args.format, header, rows))
 
 
-def cmd_graph(args, params) -> int:
+def cmd_graph(args, params) -> tuple[int, Iterable[str]]:
     coeffs = coefficients.lu_coefficients(params, args.T - 1)
     builder = {"P": "reconstructed_matrix", "PL": "death_factor", "PU": "birth_factor"}[args.which]
     matrix = getattr(banded, builder)(coeffs, args.T)
-    with _output(args.output) as handle:
-        handle.write(f"digraph {args.which} {{\n  rankdir=LR;\n")
-        handle.writelines(f"  {state};\n" for state in range(args.T))
-        for i in range(args.T):
-            handle.writelines(
-                f'  {i} -> {j} [label="{_cell(value)}"];\n'
-                for j, value in matrix.row_entries(i) if value != 0
-            )
-        handle.write("}\n")
-    return 0
+    return 0, itertools.chain(
+        [f"digraph {args.which} {{\n  rankdir=LR;\n"],
+        (f"  {state};\n" for state in range(args.T)),
+        (f'  {i} -> {j} [label="{_cell(value)}"];\n'
+         for i in range(args.T) for j, value in matrix.row_entries(i) if value != 0),
+        ["}\n"],
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,10 +452,10 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """Check the parsed command's input, then run it.  The parser has
-    already exited on --help and on a usage error, before this ``except
-    coefficients.ParameterError``, which imports that module whenever an
-    exception reaches it, so neither loads a module of the package."""
+    """Check the parsed command's input, run it and write its text: the
+    CLI's one writer.  The parser exits on --help and on a usage error
+    before this ``except coefficients.ParameterError``, which imports that
+    module when an exception reaches it, so neither loads a package module."""
     try:
         params = _resolve_parameters(args)
         if args.urn_form and not isinstance(params, coefficients.IntegerParameters):
@@ -483,7 +467,19 @@ def _run(args) -> int:
             # a repeatable flag holds a list, or None when not given
             if given is not None and min(given if isinstance(given, list) else [given]) < least:
                 raise coefficients.ParameterError(f"{flag} must be >= {least}")
-        return args.func(args, params)
+        code, pieces = args.func(args, params)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(pieces)
+            return code
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader went away: end quietly
+            # the interpreter's last flush of stdout goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        return code
     except coefficients.ParameterError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
@@ -491,7 +487,3 @@ def _run(args) -> int:
         # an exception without a message, such as MemoryError(), by its type
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,28 +40,40 @@ def test_numpy_is_the_only_runtime_dependency():
     ]
 
 
-def fresh_import() -> tuple[list[str], list[str]]:
-    """``sys.modules`` and ``dir(urnchain)`` just after ``import urnchain``
-    in a fresh interpreter, before any name of the package is read."""
+def fresh_import() -> tuple[list[str], list[str], list[str]]:
+    """``sys.modules`` just after ``import urnchain`` in a fresh
+    interpreter, before any name of the package is read, then
+    ``dir(urnchain)``, then ``sys.modules`` again."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys, urnchain; print(*sys.modules); print(*dir(urnchain)); print(*sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, urnchain; print(*sys.modules); print(*dir(urnchain))"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    modules, names = result.stdout.splitlines()
-    return modules.split(), names.split()
+    modules, names, after_dir = result.stdout.splitlines()
+    return modules.split(), names.split(), after_dir.split()
+
+
+def package_modules(modules: list[str]) -> list[str]:
+    return [name for name in modules if name.startswith("urnchain.")]
 
 
 def test_import_loads_no_module_of_the_package():
-    modules, _ = fresh_import()
-    assert [name for name in modules if name.startswith("urnchain.")] == []
+    modules, _, _ = fresh_import()
+    assert package_modules(modules) == []
 
 
 def test_dir_lists_every_exported_name():
-    _, names = fresh_import()
+    _, names, _ = fresh_import()
     assert set(urnchain.__all__) <= set(names)
+
+
+def test_dir_loads_no_module_of_the_package():
+    # dir() lists the names of __all__ without resolving any of them
+    _, _, after_dir = fresh_import()
+    assert package_modules(after_dir) == []
 
 
 def test_star_import_binds_each_name_to_its_definition():

@@ -44,12 +44,17 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports urnchain from
+    this checkout."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def run_python(*argv, text: bool = True) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports urnchain from this checkout."""
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=text, check=False, env=env
+        [sys.executable, *argv], capture_output=True, text=text, check=False, env=checkout_env()
     )
 
 
@@ -969,3 +974,27 @@ class TestEntryPoint:
         assert heavy_packages(modules) == {"numpy"}
         assert package_modules(modules) == COMMAND_MODULES[argv[0]]
         assert "dataclasses" not in modules
+
+
+class TestClosedStdout:
+    EXACT_FORM = ["--M", "2", "--N", "3", "--gamma", "1"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", *EXACT_FORM, "--trials", "100000", "--steps", "20"], 1),
+        (["coeffs", *EXACT_FORM, "--n-max", "2000", "--format", "json"], 1),
+        (["graph", *EXACT_FORM, "--T", "2000"], 1),
+        (["verify", *EXACT_FORM, "--T", "10"], 0),
+    ], ids=["simulate", "coeffs-json", "graph", "verify-fits-the-pipe"])
+    def test_reader_that_goes_away_ends_the_command_quietly(self, argv, code):
+        # each table runs past what a pipe holds (64 KiB on Linux), so it
+        # writes after the reader has gone; verify's report of about 1 KB
+        # is in the pipe before the reader reads 30 bytes of it
+        process = subprocess.Popen(
+            [sys.executable, "-m", "urnchain", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
+        )
+        with process:
+            assert len(process.stdout.read(30)) == 30
+            process.stdout.close()
+            err = process.stderr.read()
+            assert (process.wait(timeout=120), err) == (code, b"")
