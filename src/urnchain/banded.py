@@ -49,14 +49,20 @@ class BandedMatrix(NamedTuple("BandedMatrix", [
         cls, size: int, lower_bandwidth: int, upper_bandwidth: int,
         band_rows: Iterable[Sequence[Scalar]],
     ) -> "BandedMatrix":
-        """Construct from the first ``size`` band rows: row i gives the
-        values at columns i - lower_bandwidth .. i + upper_bandwidth, and
-        those whose column falls outside [0, size) are stored as 0."""
+        """Construct from the first ``size`` >= 1 band rows and bandwidths
+        >= 0: row i gives its lower + upper + 1 values at columns i - lower
+        .. i + upper, and those outside [0, size) are stored as 0.  The band
+        builders' one check that a coefficient table covers the size."""
         if size < 1:
             raise ValueError(f"size must be >= 1 (got {size})")
+        if min(lower_bandwidth, upper_bandwidth) < 0:
+            raise ValueError(f"bandwidths must be >= 0 (got {lower_bandwidth}, {upper_bandwidth})")
         rows = [tuple(band) for band in islice(band_rows, size)]
         if len(rows) < size:
-            raise ValueError(f"{len(rows)} band rows for a {size}x{size} matrix")
+            raise ValueError(f"insufficient rows: {len(rows)} band rows for a {size}x{size} matrix")
+        width = lower_bandwidth + upper_bandwidth + 1
+        if set(map(len, rows)) != {width}:
+            raise ValueError(f"band rows must hold {width} values (lower + upper + 1)")
         # only the first lower and last upper rows reach past an edge
         for i in {*range(min(lower_bandwidth, size)), *range(max(size - upper_bandwidth, 0), size)}:
             first = i - lower_bandwidth
@@ -140,28 +146,20 @@ def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 def death_factor(c: LUCoefficients, size: int) -> BandedMatrix:
     """Pure-death factor: row n holds (t_n, r_n, s_n) at columns
     n-2, n-1, n; row 0 is the absorbing row (s_0 = 1)."""
-    _require_coverage(c, size)
     return BandedMatrix.from_rows(size, 2, 0, zip(c.t, c.r, c.s))
 
 
 def birth_factor(c: LUCoefficients, size: int) -> BandedMatrix:
     """Pure-birth factor: row n holds (y_n, x_n) at columns n, n+1.
     The last row loses x over the truncation edge and is non-interior."""
-    _require_coverage(c, size)
     return BandedMatrix.from_rows(size, 0, 1, zip(c.y, c.x))
 
 
 def reconstructed_matrix(c: LUCoefficients, size: int) -> BandedMatrix:
     """Pentadiagonal composite chain assembled row by row from
     :func:`reconstruct_row` (lower bandwidth 2, upper 1)."""
-    _require_coverage(c, size)
-    rows = (reconstruct_row(c, n) for n in range(size))
+    rows = (reconstruct_row(c, n) for n in range(c.n_max + 1))
     return BandedMatrix.from_rows(size, 2, 1, ((row.d, row.c, row.b, row.a) for row in rows))
-
-
-def _require_coverage(c: LUCoefficients, size: int) -> None:
-    if c.n_max < size - 1:
-        raise ValueError(f"insufficient coefficients: need indices 0..{size - 1}, have 0..{c.n_max}")
 
 
 class CheckResult(NamedTuple):

@@ -159,10 +159,10 @@ def composite_step(
 def run_trajectory(
     ip: IntegerParameters, initial_state: int, steps: int, stream: RngStream
 ) -> Trajectory:
-    """One lane of :func:`_walk`, chunk 0 on ``stream``: the balls of
-    :func:`composite_step` looped on ``stream.generator()``.  Refuses a
+    """One lane of :func:`_walk`, chunk 0 on ``stream`` as given: the balls
+    of :func:`composite_step` looped on ``stream.generator()``.  Refuses a
     start state below 0 or above 2**63 - 1 as :func:`sample_endpoints`."""
-    (path,) = _walk(ip, initial_state, COMPOSITE, 1, stream.seed, steps, stream.stream_id, 1,
+    (path,) = _walk(ip, initial_state, COMPOSITE, 1, stream, steps, 1,
                     lambda lanes: [states.item() for states in lanes])
     return Trajectory(initial_state, tuple(zip(path[1::2], path[2::2])), stream)
 
@@ -280,15 +280,14 @@ def _walk(
     initial_state: int,
     experiment,
     trials: int,
-    seed: int,
+    stream: RngStream,
     steps: int,
-    stream_offset: int,
     threads: int,
     collect: Callable[[Iterator[np.ndarray]], object],
 ) -> Iterable:
     """Run the trials in chunks of at most CHUNK_TRIALS lanes, chunk i
-    drawing from ``RngStream(seed, stream_offset + i)`` on up to
-    ``threads`` threads, no more than chunks or usable CPUs, and return
+    drawing from ``stream`` with its stream id raised by i, on up to
+    ``threads`` (>= 1) threads, no more than chunks or usable CPUs, and return
     ``collect(lanes)`` per chunk, lazily in chunk order, after the checks
     and the urn table; a pool runs at most workers + 1 chunks ahead of
     the reader.  ``lanes`` yields the chunk's lane states: the start, then
@@ -300,6 +299,8 @@ def _walk(
         raise ValueError(f"trials must be >= 0 (got {trials})")
     if steps < 0:
         raise ValueError(f"steps must be >= 0 (got {steps})")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {threads})")
     if initial_state < 0:
         raise ValueError(f"initial_state must be >= 0 (got {initial_state})")
     if trials > 0 and initial_state > _INT64_MAX:  # lanes hold int64 states
@@ -311,7 +312,7 @@ def _walk(
     table = _urn_table(ip, initial_state, steps, parts) if trials > 0 and steps > 0 else None
 
     def lanes(index: int) -> Iterator[np.ndarray]:
-        gen = RngStream(seed, stream_offset + index).generator()
+        gen = stream._replace(stream_id=stream.stream_id + index).generator()
         count = min(CHUNK_TRIALS, trials - index * CHUNK_TRIALS)
         states = np.full(count, initial_state, dtype=np.int64)
         yield states
@@ -362,7 +363,8 @@ def sample_endpoints(
     Trials are partitioned into fixed-size chunks and chunk i draws from
     ``RngStream(seed, stream_offset + i)``, so the counts depend only on
     (seed, stream_offset, trials), never on the thread count.
-    Aggregation sums counts and is order-independent.
+    Aggregation sums counts and is order-independent.  A negative seed or
+    stream offset raises first, as :class:`RngStream` does.
 
     Faster than looping the per-step functions: draws are vectorized per
     chunk against the ball counts of the scalar urns, read through one
@@ -381,9 +383,8 @@ def sample_endpoints(
         return Counter(dict(zip(values.tolist(), counts.tolist())))
 
     totals: Counter = Counter()
-    for partial in _walk(
-        ip, initial_state, experiment, trials, seed, steps, stream_offset, threads, count
-    ):
+    stream = RngStream(seed, stream_offset)
+    for partial in _walk(ip, initial_state, experiment, trials, stream, steps, threads, count):
         totals.update(partial)
     return totals
 
@@ -400,8 +401,8 @@ def _sample_paths(
 ) -> Iterable[np.ndarray]:
     """Each chunk's paths, as :func:`_walk` hands them on: a (lanes, 1 +
     steps * parts) int64 array of the start and the state after each of
-    the experiment's :data:`_PARTS` in each step.  Same chunks and streams
-    as :func:`sample_endpoints`, whose counts are the last column's."""
+    the experiment's :data:`_PARTS` in each step.  Same checks, chunks and
+    streams as :func:`sample_endpoints`, whose counts are the last column's."""
 
     def fill(lanes: Iterator[np.ndarray]) -> np.ndarray:
         states = next(lanes)  # the loop rebinds it, freeing the start once copied
@@ -411,4 +412,4 @@ def _sample_paths(
             paths[:, column] = states
         return paths
 
-    return _walk(ip, initial_state, experiment, trials, seed, steps, 0, threads, fill)
+    return _walk(ip, initial_state, experiment, trials, RngStream(seed), steps, threads, fill)

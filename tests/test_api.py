@@ -138,6 +138,8 @@ def input_checks() -> dict:
                         r"trials must be >= 0 \(got -1\)"),
         "walk-steps": (lambda: urnchain.sample_endpoints(ip, 0, 1, 1, 1, steps=-1),
                        r"steps must be >= 0 \(got -1\)"),
+        "walk-threads": (lambda: urnchain.sample_endpoints(ip, 0, 1, 1, 1, threads=-3),
+                         r"threads must be >= 1 \(got -3\)"),
         "urn-slots-state": (lambda: urn_slots(ip, -1), r"state must be >= 0 \(got -1\)"),
         "lu-coefficients-n-max": (lambda: urnchain.lu_coefficients(ip.as_parameters(), -1),
                                   r"n_max must be >= 0 \(got -1\)"),
@@ -146,6 +148,10 @@ def input_checks() -> dict:
         "polynomials-up-probability": (lambda: urnchain.evaluate_polynomials(stuck, 1, 1),
                                        r"up probability a_0 = 0 is not positive"),
         "scalar-kind-mixed": (mixed.scalar_kind, r"matrix mixes float and Fraction entries"),
+        "from-rows-bandwidth": (lambda: urnchain.BandedMatrix.from_rows(3, -1, 0, [(1,)] * 3),
+                                r"bandwidths must be >= 0 \(got -1, 0\)"),
+        "from-rows-width": (lambda: urnchain.BandedMatrix.from_rows(3, 1, 1, [(1,)] * 3),
+                            r"band rows must hold 3 values \(lower \+ upper \+ 1\)"),
     }
 
 

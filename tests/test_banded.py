@@ -261,6 +261,14 @@ class TestFactors:
         with pytest.raises(ValueError, match="insufficient"):
             death_factor(c, 5)
 
+    def test_short_table_raises_the_same_error_in_every_builder(self):
+        # from_rows is the one check, so reconstructed_matrix raises it too
+        # rather than an IndexError from reconstruct_row
+        c = lu_coefficients_integer(IP, 3)
+        for build_factor in (death_factor, birth_factor, reconstructed_matrix):
+            with pytest.raises(ValueError, match=r"^insufficient rows: 4 band rows for a 5x5 matrix$"):
+                build_factor(c, 5)
+
     def test_product_row_two_down_two_entry(self):
         c = lu_coefficients_integer(IP, 4)
         product = multiply(death_factor(c, 5), birth_factor(c, 5))

@@ -356,6 +356,20 @@ class TestBatchSampling:
             RngStream(1)._replace(stream_id=-1)
         assert RngStream._make((1, 2)) == RngStream(1)._replace(stream_id=2) == (1, 2)
 
+    @pytest.mark.parametrize("trials", [0, 5])
+    @pytest.mark.parametrize("call, message", [
+        (lambda trials: sample_endpoints(IP, 2, COMPOSITE, trials, -1), r"seed must be >= 0 \(got -1\)"),
+        (lambda trials: sample_endpoints(IP, 2, COMPOSITE, trials, 1, stream_offset=-1),
+         r"stream_id must be >= 0 \(got -1\)"),
+        (lambda trials: urns._sample_paths(IP, 2, COMPOSITE, trials, -1, steps=1, threads=1),
+         r"seed must be >= 0 \(got -1\)"),
+    ], ids=["sample_endpoints-seed", "sample_endpoints-stream_offset", "_sample_paths-seed"])
+    def test_negative_seed_or_offset_raises_at_the_call(self, call, message, trials):
+        # the stream is checked where it is built, before the first chunk is
+        # drawn or read: no empty count for zero trials, no lazy error later
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(trials)
+
     def test_drawless_lanes_leave_the_generator_as_is(self):
         # numpy answers the dummy (0, 1) urn without a draw, so generator
         # use depends on the lanes' states, not on the array length alone
