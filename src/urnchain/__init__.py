@@ -26,12 +26,11 @@ _EXPORTS = {
     ),
     "coefficients": (
         "IntegerParameters", "LUCoefficients", "ParameterError", "Parameters", "TransitionRow",
-        "lu_coefficients", "lu_coefficients_integer", "reconstruct_row",
+        "lu_coefficients", "reconstruct_row",
     ),
     "urns": (
-        "BLUE", "COMPOSITE", "RED", "RngStream", "StepOutcome", "Trajectory",
-        "composite_distribution", "composite_step", "enumerate_step_distribution",
-        "experiment1_step", "experiment2_step", "run_trajectory", "sample_endpoints",
+        "COMPOSITE", "RngStream", "composite_distribution", "enumerate_step_distribution",
+        "sample_endpoints",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

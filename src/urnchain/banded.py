@@ -25,7 +25,6 @@ from .coefficients import (
     Parameters,
     Scalar,
     lu_coefficients,
-    lu_coefficients_integer,
     reconstruct_row,
 )
 
@@ -319,8 +318,4 @@ def verify_lu(
 ) -> FactorizationReport:
     """Run :func:`verify_factorization` on coefficients built from the
     given parameter form (exact for integer parameters)."""
-    if isinstance(params, IntegerParameters):
-        coeffs = lu_coefficients_integer(params, size - 1)
-    else:
-        coeffs = lu_coefficients(params, size - 1)
-    return verify_factorization(coeffs, size, tolerance)
+    return verify_factorization(lu_coefficients(params, size - 1), size, tolerance)

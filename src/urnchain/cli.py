@@ -90,6 +90,8 @@ _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), sort_keys=True, 
 _ROW_SEPARATOR = ",\n    "
 # stands in for the trial number in the template of one trajectory trial
 _TRIAL_MARKER = "\0"
+# the trajectory table's columns, in the order of its template rows
+_TRAJECTORY_HEADER = ("trial", "step", "sub_step", "state")
 # the most trajectory rows turned into Python ints and text at a time:
 # whole trials, or a segment of a trial longer than this
 _BLOCK_ROWS = 2048
@@ -226,8 +228,7 @@ def cmd_simulate(args, params) -> tuple[int, Iterable[str]]:
     )
     sub_steps = range(1, len(urns._PARTS[experiment]) + 1)
     labels = itertools.chain([(0, 0)], itertools.product(range(1, args.steps + 1), sub_steps))
-    header = ["trial", "step", "sub_step", "state"]
-    return 0, _emit(args, params, "simulate", "rows", header,
+    return 0, _emit(args, params, "simulate", "rows", _TRAJECTORY_HEADER,
                     _trajectory_text(args.format, chunks, labels), **meta)
 
 
@@ -236,24 +237,18 @@ def _trajectory_text(fmt: str, chunks, labels) -> Iterator[str]:
     order, in pieces: CSV lines, or row objects joined for
     :func:`_json_chunks`.  ``chunks`` yields the paths, a row per trial,
     read a chunk at a time; ``labels`` is each path entry's (step,
-    sub_step).  One trial's text is built once as a template, in segments
-    of at most :data:`_BLOCK_ROWS` rows: those labels written in, each
-    state a ``%d`` field and the trial number :data:`_TRIAL_MARKER`; the
-    str() of an int is its CSV and its JSON text.  A piece holds at most
-    :data:`_BLOCK_ROWS` rows: whole trials, or one segment of a longer one."""
-    if fmt == "json":
-        # an indent=2 row object at depth 2, its keys in sort_keys order
-        rows = (
-            f'{{\n      "state": %d,\n      "step": {step},\n      "sub_step": {sub},\n'
-            f'      "trial": {_TRIAL_MARKER}\n    }}'
-            for step, sub in labels
-        )
-        separator = _ROW_SEPARATOR
-    else:
-        rows, separator = (f"{_TRIAL_MARKER},{step},{sub},%d\n" for step, sub in labels), ""
+    sub_step).  One trial's text is built once by :func:`_row_text` as a
+    template, in segments of at most :data:`_BLOCK_ROWS` rows: those
+    labels written in, each state a ``%d`` field and the trial number
+    :data:`_TRIAL_MARKER`, which stand in the text for the row's -2 and
+    -1 (labels are >= 0); the str() of an int is its CSV and its JSON
+    text.  A piece holds at most :data:`_BLOCK_ROWS` rows: whole trials,
+    or one segment of a longer one."""
+    rows = _row_text(fmt, _TRAJECTORY_HEADER, ((-1, step, sub, -2) for step, sub in labels))
+    separator = _ROW_SEPARATOR if fmt == "json" else ""
     templates = []
     while segment := list(itertools.islice(rows, _BLOCK_ROWS)):
-        templates.append(separator.join(segment))
+        templates.append(separator.join(segment).replace("-2", "%d").replace("-1", _TRIAL_MARKER))
     numbered = 0
     for paths in chunks:
         # a trial of one segment shares its piece with the next trials; a

@@ -17,9 +17,10 @@ row per state, by one of two routes.  :class:`Parameters` go through the
 general three-parameter formulas, exact when handed ``Fraction``
 parameters; :class:`IntegerParameters` (``alpha = 1/M``, ``beta = 1/N``,
 integer ``gamma``) go through the urn compositions of :func:`urn_slots`,
-whose exact branch weights are the coefficients
-(:func:`lu_coefficients_integer` names this route alone).  The two
-routes agree exactly on their common domain, which the test suite pins.
+whose exact branch weights are the coefficients.  The two routes agree
+exactly on their common domain, which the test suite pins.
+:func:`lu_coefficients_integer`, which the package does not export, is
+the urn route alone.
 """
 
 from __future__ import annotations
@@ -264,7 +265,9 @@ def lu_coefficients(params: Parameters | IntegerParameters, n_max: int) -> LUCoe
 
 def lu_coefficients_integer(ip: IntegerParameters, n_max: int) -> LUCoefficients:
     """The urn route of :func:`lu_coefficients`, for integer parameters
-    alone."""
+    alone: kept for callers that name that route, which outside the tests
+    only the benchmark does; :func:`lu_coefficients` takes it for every
+    :class:`IntegerParameters`."""
     if not isinstance(ip, IntegerParameters):
         raise TypeError(f"the urn route takes IntegerParameters, not {type(ip).__name__}")
     return lu_coefficients(ip, n_max)

@@ -21,10 +21,11 @@ That sampler, :func:`_walk`, is the only sampling loop: the CLI's
 commands keep each lane's last state or every sub-state, and
 :func:`run_trajectory` is one lane.  A lane alone in its chunk draws
 exactly the balls of the scalar step functions, the ball-level reference
-with a draw record.  Each draw is one ``gen.integers`` call with an
-int64 bound, so drawing from an urn of more than 2**63 - 1 balls raises
-:class:`ParameterError`; the vectorized sampler checks every urn a lane
-can draw from, and no other, before its first draw.
+with a draw record, which the package does not export.  Each draw is one
+``gen.integers`` call with an int64 bound, so drawing from an urn of
+more than 2**63 - 1 balls raises :class:`ParameterError`; the vectorized
+sampler checks every urn a lane can draw from, and no other, before its
+first draw.
 
 numpy is imported with this module.  Of the CLI's commands only
 ``simulate`` and ``compare`` import it, so the others start without numpy.

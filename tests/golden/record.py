@@ -208,6 +208,10 @@ def _edges() -> list:
                [*simulate, "--initial", "5", "--steps", "2", "--trials", str(CHUNK + 7),
                 "--threads", threads, *flags]) for threads in ("1", "2")],
         ]
+    # a trial of 2201 rows, longer than the CLI's 2048-row trajectory block
+    long_trial = [*simulate, "--initial", "5", "--steps", "1100", "--trials", "3"]
+    cases += [("edge/paths-long-trial-csv", long_trial),
+              ("edge/paths-long-trial-json", [*long_trial, *JSON])]
     for form, params in (("exact", EXACT), ("general", GENERAL)):
         cases += [(f"edge/verify-{form}-T-{T}", ["verify", *params, "--T", T]) for T in "123"]
     cases += [
