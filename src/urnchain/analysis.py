@@ -147,9 +147,7 @@ def evaluate_polynomials(c: LUCoefficients, x: Scalar, n_max: int) -> Polynomial
         raise ValueError(
             f"insufficient coefficients: need indices 0..{n_max - 1}, have 0..{c.n_max}"
         )
-    values: list[Scalar] = [1]
-    if isinstance(x, float):
-        values = [1.0]
+    values: list[Scalar] = [type(x)(1)]  # q_0 in x's kind: a Fraction prints as "1"
     for n in range(n_max):
         row = reconstruct_row(c, n)
         if not row.a > 0:

@@ -7,17 +7,16 @@ banded truncations row by row, and cross-checks that the factor product
 equals the directly reconstructed chain.
 
 Truncating a semi-infinite matrix loses mass off the right edge in the
-last ``upper_bandwidth`` rows.  Those rows are flagged non-interior and
-excluded from row-sum checks; they are never renormalized, since that
-would silently change the chain.
+last ``upper_bandwidth`` rows.  The row-sum checks leave those rows out;
+they are never renormalized, since that would silently change the chain.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .coefficients import (
     IntegerParameters,
@@ -37,11 +36,10 @@ class BandedMatrix(NamedTuple("BandedMatrix", [
     ``rows[i][k]`` holds entry (i, i - lower_bandwidth + k); positions
     whose column falls outside [0, size) are stored as zero and are
     structurally zero outside the band.  :meth:`from_rows` builds one
-    from the band of each row.  The class has no ``__slots__``, so an
-    instance can keep its :meth:`scalar_kind` once known.
+    from the band of each row.
     """
 
-    _kind: str | None = None
+    __slots__ = ()
 
     @classmethod
     def from_rows(
@@ -77,38 +75,19 @@ class BandedMatrix(NamedTuple("BandedMatrix", [
                 out.append((j, value))
         return out
 
-    def row_sum(self, i: int) -> Scalar:
-        """Band row i added left to right from int 0, one plain addition
-        per entry as in :func:`multiply` (not ``sum()``, which compensates
-        floats from Python 3.12 on)."""
-        total = 0
-        for value in self.rows[i]:
-            total += value
-        return total
-
-    def is_interior(self, i: int) -> bool:
-        """True when row i keeps all its in-band columns inside the
-        truncation, so a stochastic row still sums to 1."""
-        return i + self.upper_bandwidth < self.size
-
     def scalar_kind(self) -> str:
-        """'float' / 'exact' (contains Fraction) / 'int' (ints only).
-        The entries are scanned once, at the first call, and never for a
-        :func:`multiply` product, which takes its factors' kind."""
-        kind = self._kind
-        if kind is None:
-            has_float = has_fraction = False
-            for row in self.rows:
-                for value in row:
-                    if isinstance(value, float):
-                        has_float = True
-                    elif isinstance(value, Fraction):
-                        has_fraction = True
-            if has_float and has_fraction:
-                raise ValueError("matrix mixes float and Fraction entries")
-            kind = "float" if has_float else "exact" if has_fraction else "int"
-            self._kind = kind
-        return kind
+        """'float' / 'exact' (contains Fraction) / 'int' (ints only),
+        from one scan of the entries."""
+        has_float = has_fraction = False
+        for row in self.rows:
+            for value in row:
+                if isinstance(value, float):
+                    has_float = True
+                elif isinstance(value, Fraction):
+                    has_fraction = True
+        if has_float and has_fraction:
+            raise ValueError("matrix mixes float and Fraction entries")
+        return "float" if has_float else "exact" if has_fraction else "int"
 
 
 def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
@@ -120,7 +99,6 @@ def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     kinds = {a.scalar_kind(), b.scalar_kind()}
     if "float" in kinds and "exact" in kinds:
         raise ValueError("scalar kind mismatch: cannot multiply float and exact matrices")
-    kind = "float" if "float" in kinds else "exact" if "exact" in kinds else "int"
     lower = a.lower_bandwidth + b.lower_bandwidth
     upper = a.upper_bandwidth + b.upper_bandwidth
     size, b_rows = a.size, b.rows
@@ -137,9 +115,7 @@ def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
                     band[position] = band[position] + term if position < end else term
                 end = position + 1
         rows.append(band)
-    product = BandedMatrix.from_rows(size, lower, upper, rows)
-    product._kind = kind
-    return product
+    return BandedMatrix.from_rows(size, lower, upper, rows)
 
 
 def death_factor(c: LUCoefficients, size: int) -> BandedMatrix:
@@ -226,6 +202,19 @@ def _sums_to_one(values: Iterable[Scalar]) -> bool:
     return numerator == denominator
 
 
+def _sum_excess(rows: Iterable[Sequence[Scalar]], exact: bool) -> Iterator[Scalar]:
+    """|sum - 1| of each row, added left to right from int 0 with one
+    plain addition per entry as in :func:`multiply` (not ``sum()``, which
+    compensates floats from Python 3.12 on).  When ``exact``, a row that
+    :func:`_sums_to_one` settles is skipped: its excess is 0."""
+    for row in rows:
+        if not (exact and _sums_to_one(row)):
+            total = 0
+            for value in row:
+                total += value
+            yield abs(total - 1)
+
+
 def verify_factorization(
     c: LUCoefficients, size: int, tolerance: float | None = None
 ) -> FactorizationReport:
@@ -248,10 +237,9 @@ def verify_factorization(
     Unless the product is float, each check first settles an entry whose
     values are ints or Fractions on their numerators and denominators
     alone: equal ratios for the LU identity, a cross-multiplied sum of 1
-    for the row sums (both coefficient sums of an index together),
-    0 <= numerator <= denominator for the bounds.  Only an entry that
-    fails this test gets its ``Fraction`` deviation computed; the skipped
-    ones are at most 0 and cannot change a result.
+    for the row sums, 0 <= numerator <= denominator for the bounds.  Only
+    an entry that fails this test gets its ``Fraction`` deviation
+    computed; the skipped ones are at most 0 and cannot change a result.
     """
     lower = death_factor(c, size)
     upper = birth_factor(c, size)
@@ -275,13 +263,14 @@ def verify_factorization(
     compared = f" rows 0..{rows_compared - 1}" if rows_compared else ": no rows compared"
     # both are (2, 1)-banded with 0 stored past the edges, so band rows align
     row_pairs = zip(product.rows[:rows_compared], direct.rows)
+    # a row is interior when all its in-band columns fall inside the matrix
+    lower_rows, upper_rows, product_rows = (
+        m.rows[:size - m.upper_bandwidth] for m in (lower, upper, product)
+    )
 
     checks = (
-        bounded("coefficient_row_sums", (
-            abs(dev)
-            for xn, yn, tn, rn, sn in zip(x, y, t, r, s)
-            if not (exact and _sums_to_one((xn, yn)) and _sums_to_one((tn, rn, sn)))
-            for dev in (xn + yn - 1, tn + rn + sn - 1)
+        bounded("coefficient_row_sums", _sum_excess(
+            chain.from_iterable(zip(zip(x, y), zip(t, r, s))), exact
         ), "x+y = 1 and t+r+s = 1"),
         bounded("coefficient_bounds", (
             dev for seq in (x, y, t, r, s) for value in seq
@@ -293,20 +282,16 @@ def verify_factorization(
         CheckResult(
             "band_structure", bands == (2, 1), 0.0, f"product bandwidths (lower, upper) = {bands}"
         ),
-        bounded("factor_row_sums", (
-            abs(m.row_sum(i) - 1) for m in (lower, upper) for i in range(size)
-            if m.is_interior(i) and not (exact and _sums_to_one(m.rows[i]))
-        ), "interior factor rows sum to 1"),
+        bounded("factor_row_sums", _sum_excess(chain(lower_rows, upper_rows), exact),
+                "interior factor rows sum to 1"),
         # ints and Fractions are in lowest terms: equal values have equal ratios
         bounded("lu_identity", (
             abs(p - d) for rows in row_pairs for p, d in zip(*rows)
             if not (exact and isinstance(p, _EXACT) and isinstance(d, _EXACT)
                     and p.as_integer_ratio() == d.as_integer_ratio())
         ), f"product vs direct{compared}"),
-        bounded("product_row_sums", (
-            abs(product.row_sum(i) - 1) for i in range(size)
-            if product.is_interior(i) and not (exact and _sums_to_one(product.rows[i]))
-        ), "interior product rows sum to 1"),
+        bounded("product_row_sums", _sum_excess(product_rows, exact),
+                "interior product rows sum to 1"),
     )
     return FactorizationReport(size, kind, float(tolerance), checks)
 

@@ -177,9 +177,11 @@ class TestPolynomials:
         assert evaluation.values[1] == F(-3, 4)
 
     def test_leading_value_is_one_everywhere(self):
-        c = lu_coefficients_integer(IP, 0)
-        for x in (F(0), F(7, 3), F(-2)):
+        c = lu_coefficients_integer(IP, 1)
+        for x in (F(0), F(7, 3), F(-2), F(3, 4)):
             assert evaluate_polynomials(c, x, 0).values == (1,)
+            # q_0 takes x's kind, as the later values do
+            assert isinstance(evaluate_polynomials(c, x, 2).values[0], F)
 
     def test_recursion_residual_vanishes(self):
         # x q_n - (d_n q_{n-2} + c_n q_{n-1} + b_n q_n + a_n q_{n+1}) = 0

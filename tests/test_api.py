@@ -141,6 +141,9 @@ def test_value_types_reject_assignment(name):
     value, field = value_types()[name]
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
+    # no instance dict either: a value holds its fields and nothing else
+    with pytest.raises(AttributeError):
+        value.note = "kept"
 
 
 def input_checks() -> dict:

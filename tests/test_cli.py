@@ -533,14 +533,16 @@ class TestCompare:
 
 class TestPoly:
     def test_all_ones_at_x_equal_one(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "poly", "--M", "2", "--N", "3", "--gamma", "1",
-            "--x", "1", "--n-max", "50",
-        )
-        assert code == 0
-        rows = parse_csv(out)
-        assert len(rows) == 51
-        assert all(row["q"] == "1" for row in rows)
+        # exact JSON writes every value as a p/q string, q_0 included
+        for fmt, read in (("csv", parse_csv), ("json", lambda out: json.loads(out)["rows"])):
+            code, out, _ = run_cli(
+                capsys, "poly", "--M", "2", "--N", "3", "--gamma", "1",
+                "--x", "1", "--n-max", "50", "--format", fmt,
+            )
+            assert code == 0
+            rows = read(out)
+            assert len(rows) == 51
+            assert all(row["q"] == "1" for row in rows)
 
     def test_exact_rational_point(self, capsys):
         code, out, _ = run_cli(
