@@ -54,7 +54,8 @@ def chi_square_statistic(
     with dof = support size - 1 (no parameters are estimated).
 
     Raises on a zero expected cell and on observed mass outside the
-    exact support.
+    exact support.  The cells are added in descending state order, a
+    TransitionRow's, so the law's own key order cannot move a bit.
     """
     expected = _as_probabilities(exact)
     if any(p <= 0.0 for p in expected.values()):
@@ -63,8 +64,8 @@ def chi_square_statistic(
     if any(empirical.counts[state] > 0 for state in outside):
         raise ValueError(f"observed states {sorted(outside)} outside the exact support")
     statistic = 0.0
-    for state, p in expected.items():
-        expected_count = empirical.total * p
+    for state in sorted(expected, reverse=True):
+        expected_count = empirical.total * expected[state]
         observed = empirical.counts.get(state, 0)
         statistic += (observed - expected_count) ** 2 / expected_count
     return statistic, len(expected) - 1

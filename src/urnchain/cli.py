@@ -222,10 +222,8 @@ def cmd_simulate(args, params) -> tuple[int, Iterable[str]]:
         header = ["state", "count"]
         return 0, _emit(args, params, "simulate", "counts", header,
                         _row_text(args.format, header, sorted(counts.items())), **meta)
-    chunks = urns._sample_paths(
-        params, args.initial, experiment, args.trials, args.seed,
-        steps=args.steps, threads=args.threads,
-    )
+    chunks = urns._sample_paths(params, args.initial, experiment, args.trials, args.seed,
+                                steps=args.steps)
     sub_steps = range(1, len(urns._PARTS[experiment]) + 1)
     labels = itertools.chain([(0, 0)], itertools.product(range(1, args.steps + 1), sub_steps))
     return 0, _emit(args, params, "simulate", "rows", _TRAJECTORY_HEADER,
@@ -272,8 +270,7 @@ def cmd_compare(args, params) -> tuple[int, Iterable[str]]:
             params, start, urns.COMPOSITE, args.trials, args.seed,
             stream_offset=start << 20, threads=args.threads,
         )
-        # the draw tree's law in a TransitionRow's order: float sums follow it
-        exact = dict(sorted(urns.composite_distribution(params, start).items(), reverse=True))
+        exact = urns.composite_distribution(params, start)
         empirical = analysis.EmpiricalDistribution.from_counts(counts)
         tv = analysis.tv_distance(empirical, exact)
         statistic, dof = analysis.chi_square_statistic(empirical, exact)

@@ -19,7 +19,9 @@ writes the same slots in place into one int64 numpy array of the states
 its lanes draw from (64 bytes per state).
 That sampler, :func:`_walk`, is the only sampling loop: the CLI's
 commands keep each lane's last state or every sub-state, and
-:func:`run_trajectory` is one lane.  A lane alone in its chunk draws
+:func:`run_trajectory` is one lane.  Only :func:`sample_endpoints`, whose
+per-chunk counts add up in any order, runs chunks on a thread pool;
+trajectory mode draws its chunks in order.  A lane alone in its chunk draws
 exactly the balls of the scalar step functions, the ball-level reference
 with a draw record, which the package does not export.  Each draw is one
 ``gen.integers`` call with an int64 bound, so drawing from an urn of
@@ -34,8 +36,8 @@ numpy is imported with this module.  Of the CLI's commands only
 from __future__ import annotations
 
 import os
-from collections import Counter, deque
-from collections.abc import Callable, Iterable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -163,8 +165,8 @@ def run_trajectory(
     """One lane of :func:`_walk`, chunk 0 on ``stream`` as given: the balls
     of :func:`composite_step` looped on ``stream.generator()``.  Refuses a
     start state below 0 or above 2**63 - 1 as :func:`sample_endpoints`."""
-    (path,) = _walk(ip, initial_state, COMPOSITE, 1, stream, steps, 1,
-                    lambda lanes: [states.item() for states in lanes])
+    _, lanes = _walk(ip, initial_state, COMPOSITE, 1, stream, steps)
+    path = [states.item() for states in lanes(0)]
     return Trajectory(initial_state, tuple(zip(path[1::2], path[2::2])), stream)
 
 
@@ -283,25 +285,19 @@ def _walk(
     trials: int,
     stream: RngStream,
     steps: int,
-    threads: int,
-    collect: Callable[[Iterator[np.ndarray]], object],
-) -> Iterable:
-    """Run the trials in chunks of at most CHUNK_TRIALS lanes, chunk i
-    drawing from ``stream`` with its stream id raised by i, on up to
-    ``threads`` (>= 1) threads, no more than chunks or usable CPUs, and return
-    ``collect(lanes)`` per chunk, lazily in chunk order, after the checks
-    and the urn table; a pool runs at most workers + 1 chunks ahead of
-    the reader.  ``lanes`` yields the chunk's lane states: the start, then
-    the states after each part (see :data:`_PARTS`) of each step.  A lane
-    alone in its chunk draws the scalar step functions' balls."""
+) -> tuple[int, Callable[[int], Iterator[np.ndarray]]]:
+    """(chunks, lanes) of the trials in chunks of at most CHUNK_TRIALS
+    lanes, after the checks and the urn table.  ``lanes(i)`` yields chunk
+    i's lane states, drawn from ``stream`` with its stream id raised by i:
+    the start, then the states after each part (see :data:`_PARTS`) of
+    each step.  A lane alone in its chunk draws the scalar step
+    functions' balls."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS} (got {experiment!r})")
     if trials < 0:
         raise ValueError(f"trials must be >= 0 (got {trials})")
     if steps < 0:
         raise ValueError(f"steps must be >= 0 (got {steps})")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1 (got {threads})")
     if initial_state < 0:
         raise ValueError(f"initial_state must be >= 0 (got {initial_state})")
     if trials > 0 and initial_state > _INT64_MAX:  # lanes hold int64 states
@@ -322,30 +318,7 @@ def _walk(
                 states = _advance(table, states, part, gen)
                 yield states
 
-    chunks = -(-trials // CHUNK_TRIALS)
-    chunk_lanes = map(lanes, range(chunks))
-    # each submit starts a thread while fewer than max_workers run
-    workers = min(threads, chunks, _usable_cpus())
-    if workers > 1:
-        # imported here, not with the module: concurrent.futures takes
-        # 4.5-9 ms to import (Python 3.11, 2 vCPUs), single-thread runs
-        # never need it, and test_pool_threads_are_capped* patch
-        # ThreadPoolExecutor in concurrent.futures itself
-        from concurrent.futures import ThreadPoolExecutor
-
-        def handed_on() -> Iterator:
-            # Executor.map would submit every chunk before the first result
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ahead = deque()
-                for chunk in chunk_lanes:
-                    ahead.append(pool.submit(collect, chunk))
-                    if len(ahead) > workers:
-                        yield ahead.popleft().result()
-                while ahead:
-                    yield ahead.popleft().result()
-
-        return handed_on()
-    return map(collect, chunk_lanes)
+    return -(-trials // CHUNK_TRIALS), lanes
 
 
 def sample_endpoints(
@@ -363,9 +336,11 @@ def sample_endpoints(
 
     Trials are partitioned into fixed-size chunks and chunk i draws from
     ``RngStream(seed, stream_offset + i)``, so the counts depend only on
-    (seed, stream_offset, trials), never on the thread count.
-    Aggregation sums counts and is order-independent.  A negative seed or
-    stream offset raises first, as :class:`RngStream` does.
+    (seed, stream_offset, trials), never on the thread count.  The
+    chunks run on up to ``threads`` (>= 1) threads, no more than chunks
+    or usable CPUs; each thread counts its own share of them, and the
+    counts are summed, which no order changes.  A negative seed or stream
+    offset raises first, as :class:`RngStream` does.
 
     Faster than looping the per-step functions: draws are vectorized per
     chunk against the ball counts of the scalar urns, read through one
@@ -376,18 +351,32 @@ def sample_endpoints(
     are these counts.  Raises :class:`ParameterError` when an urn a lane
     draws from holds more than 2**63 - 1 balls.
     """
-
-    def count(lanes: Iterator[np.ndarray]) -> Counter:
-        for states in lanes:
-            pass
-        values, counts = np.unique(states, return_counts=True)
-        return Counter(dict(zip(values.tolist(), counts.tolist())))
-
-    totals: Counter = Counter()
     stream = RngStream(seed, stream_offset)
-    for partial in _walk(ip, initial_state, experiment, trials, stream, steps, threads, count):
-        totals.update(partial)
-    return totals
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {threads})")
+    chunks, lanes = _walk(ip, initial_state, experiment, trials, stream, steps)
+    # one worker for zero chunks too: count steps through them by workers
+    workers = max(1, min(threads, chunks, _usable_cpus()))
+
+    def count(worker: int) -> Counter:
+        totals: Counter = Counter()
+        for index in range(worker, chunks, workers):
+            for states in lanes(index):
+                pass
+            values, counts = np.unique(states, return_counts=True)
+            totals.update(dict(zip(values.tolist(), counts.tolist())))
+        return totals
+
+    if workers == 1:
+        return count(0)
+    # imported here, not with the module: concurrent.futures takes 4.5-9 ms
+    # to import (Python 3.11, 2 vCPUs), single-thread runs never need it,
+    # and test_pool_threads_are_capped* patch ThreadPoolExecutor in
+    # concurrent.futures itself
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(count, range(workers)), Counter())
 
 
 def _sample_paths(
@@ -398,19 +387,23 @@ def _sample_paths(
     seed: int,
     *,
     steps: int,
-    threads: int,
-) -> Iterable[np.ndarray]:
-    """Each chunk's paths, as :func:`_walk` hands them on: a (lanes, 1 +
-    steps * parts) int64 array of the start and the state after each of
-    the experiment's :data:`_PARTS` in each step.  Same checks, chunks and
-    streams as :func:`sample_endpoints`, whose counts are the last column's."""
+) -> Iterator[np.ndarray]:
+    """Each chunk's paths, drawn in chunk order as they are read: a
+    (lanes, 1 + steps * parts) int64 array of the start and the state
+    after each of the experiment's :data:`_PARTS` in each step.  Same
+    checks, chunks and streams as :func:`sample_endpoints`, whose counts
+    are the last column's.  One thread draws them all: the reader of the
+    paths, not the draws, sets the pace, and a pool would only hold more
+    chunks."""
+    chunks, lanes = _walk(ip, initial_state, experiment, trials, RngStream(seed), steps)
 
-    def fill(lanes: Iterator[np.ndarray]) -> np.ndarray:
-        states = next(lanes)  # the loop rebinds it, freeing the start once copied
+    def fill(index: int) -> np.ndarray:
+        chunk = lanes(index)
+        states = next(chunk)  # the loop rebinds it, freeing the start once copied
         paths = np.empty((len(states), 1 + steps * len(_PARTS[experiment])), dtype=np.int64)
         paths[:, 0] = states
-        for column, states in enumerate(lanes, 1):
+        for column, states in enumerate(chunk, 1):
             paths[:, column] = states
         return paths
 
-    return _walk(ip, initial_state, experiment, trials, RngStream(seed), steps, threads, fill)
+    return map(fill, range(chunks))

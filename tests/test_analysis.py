@@ -22,7 +22,7 @@ from urnchain.coefficients import (
     lu_coefficients_integer,
     reconstruct_row,
 )
-from urnchain.urns import COMPOSITE, RngStream, sample_endpoints
+from urnchain.urns import COMPOSITE, RngStream, composite_distribution, sample_endpoints
 
 F = Fraction
 IP = IntegerParameters(2, 3, 1)
@@ -64,6 +64,17 @@ class TestChiSquare:
         assert dof == 1
         assert statistic < 10.83
         assert statistic < chi_square_threshold(dof)
+
+    def test_law_order_does_not_move_a_bit(self):
+        # added in ascending state order the cells give ...711448; the
+        # statistic is the descending sum, a TransitionRow's, in any order
+        law = composite_distribution(IntegerParameters(13, 46, 3), 36)
+        empirical = EmpiricalDistribution.from_counts(
+            {35: 36021, 34: 31219, 36: 26027, 37: 41882}
+        )
+        for order in (sorted(law), sorted(law, reverse=True), list(law)):
+            statistic, dof = chi_square_statistic(empirical, {s: law[s] for s in order})
+            assert (statistic, dof) == (192312.5945471145, 3)
 
     def test_zero_expected_cell_rejected(self):
         empirical = EmpiricalDistribution.from_counts({0: 1})

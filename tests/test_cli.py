@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -349,6 +350,25 @@ class TestSimulate:
                 paths.append(path)
             assert paths[0].read_bytes() == paths[1].read_bytes(), mode
 
+    def test_trajectory_mode_starts_no_pool(self, monkeypatch, tmp_path, capsys):
+        # two chunks at --threads 2 on two usable CPUs: the paths are drawn
+        # in order, so no pool is built and the bytes are --threads 1's
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} threads was built")
+
+        monkeypatch.setattr("urnchain.urns._usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        outputs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"paths-{threads}.csv"
+            code, _, _ = run_cli(
+                capsys, *self.ARGS, "--steps", "3", "--trials", str(CHUNK_TRIALS + 7),
+                "--seed", "42", "--threads", threads, "--output", str(path),
+            )
+            assert code == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("experiment", ["1", "2", "composite"])
     def test_trajectory_end_states_equal_aggregate(self, capsys, experiment, threads):
@@ -381,9 +401,7 @@ class TestSimulate:
         # 5 rows split the 7-entry paths
         monkeypatch.setattr("urnchain.cli._BLOCK_ROWS", block_rows)
         monkeypatch.setattr("urnchain.urns.CHUNK_TRIALS", 2)
-        chunks = list(
-            _sample_paths(IntegerParameters(2, 3, 1), 4, COMPOSITE, 5, 7, steps=3, threads=1)
-        )
+        chunks = list(_sample_paths(IntegerParameters(2, 3, 1), 4, COMPOSITE, 5, 7, steps=3))
         assert [len(paths) for paths in chunks] == [2, 2, 1]
         labels = [(0, 0)] + [(step, sub) for step in range(1, 4) for sub in (1, 2)]
         pieces = list(_trajectory_text("csv", iter(chunks), iter(labels)))
@@ -778,13 +796,10 @@ class TestJsonTable:
         # run-long array of paths would hold all four
         assert self.trajectory_peak(monkeypatch, tmp_path, 4, 1) < 2.5
 
-    def test_trajectory_memory_holds_workers_plus_two_chunks_with_a_pool(
-        self, monkeypatch, tmp_path
-    ):
-        # two workers run at most three chunks ahead of the writer, which
-        # holds a fourth, where a pool that ran every chunk before the
-        # first byte would hold all eight
-        assert self.trajectory_peak(monkeypatch, tmp_path, 8, 2) < 4.5
+    def test_trajectory_memory_holds_two_chunks_at_two_threads(self, monkeypatch, tmp_path):
+        # trajectory mode draws its chunks in order on the writer's thread,
+        # where a pool of two workers ran up to three chunks ahead of it
+        assert self.trajectory_peak(monkeypatch, tmp_path, 8, 2) < 2.5
 
 
 # flag values that each parse, fail to parse, or trip a gate: NaN,

@@ -312,13 +312,13 @@ class TestTrajectories:
             for step in parts:
                 m = step(ip, m, gen).end_state
                 path.append(m)
-        (lane,) = urns._sample_paths(ip, initial, experiment, 1, seed, steps=steps, threads=1)
+        (lane,) = urns._sample_paths(ip, initial, experiment, 1, seed, steps=steps)
         assert lane.tolist() == [path]
 
 
 def serial_pool(monkeypatch) -> list:
-    """Swap the sampler's thread pool for one that runs each submitted
-    call at once, so no thread starts, and return the list its
+    """Swap the sampler's thread pool for one that runs each mapped call
+    at once, in order, so no thread starts, and return the list its
     max_workers are appended to."""
     started = []
 
@@ -332,10 +332,8 @@ def serial_pool(monkeypatch) -> list:
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     # the sampler imports the pool class from the package when it starts one
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
@@ -361,7 +359,7 @@ class TestBatchSampling:
         (lambda trials: sample_endpoints(IP, 2, COMPOSITE, trials, -1), r"seed must be >= 0 \(got -1\)"),
         (lambda trials: sample_endpoints(IP, 2, COMPOSITE, trials, 1, stream_offset=-1),
          r"stream_id must be >= 0 \(got -1\)"),
-        (lambda trials: urns._sample_paths(IP, 2, COMPOSITE, trials, -1, steps=1, threads=1),
+        (lambda trials: urns._sample_paths(IP, 2, COMPOSITE, trials, -1, steps=1),
          r"seed must be >= 0 \(got -1\)"),
     ], ids=["sample_endpoints-seed", "sample_endpoints-stream_offset", "_sample_paths-seed"])
     def test_negative_seed_or_offset_raises_at_the_call(self, call, message, trials):
@@ -395,11 +393,13 @@ class TestBatchSampling:
     @pytest.mark.parametrize(
         "threads, trials, cpus, workers",
         [(5000, 10 * CHUNK_TRIALS, 2, 2), (5000, 3 * CHUNK_TRIALS, 64, 3), (2, 10**4, 8, None),
-         (3, 10 * CHUNK_TRIALS, None, None), (1, 10 * CHUNK_TRIALS, 8, None)],
+         (3, 10 * CHUNK_TRIALS, None, None), (1, 10 * CHUNK_TRIALS, 8, None),
+         (4, 7 * CHUNK_TRIALS, 3, 3)],
     )
     def test_pool_threads_are_capped(self, monkeypatch, threads, trials, cpus, workers):
         # min(threads, chunks, CPUs) workers, and no pool below two; on a
-        # platform without an affinity set the CPUs are os.cpu_count()
+        # platform without an affinity set the CPUs are os.cpu_count(); 7
+        # chunks on 3 workers leave them 3, 2 and 2 chunks
         monkeypatch.delattr(urns.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(urns.os, "cpu_count", lambda: cpus)
         started = serial_pool(monkeypatch)
@@ -419,12 +419,12 @@ class TestBatchSampling:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_trials_past_sys_maxsize_chunks_stream(self, monkeypatch, threads):
         # 10**30 trials are more chunks than len() of a range can count;
-        # the first chunk comes at once, and closing the walk stops the pool
+        # the first chunk comes at once, drawn on no thread of its own,
+        # whatever the usable CPUs
         monkeypatch.setattr(urns, "_usable_cpus", lambda: threads)
         running = threading.active_count()
-        chunks = iter(urns._sample_paths(IP, 0, COMPOSITE, 10**30, 1, steps=1, threads=threads))
+        chunks = iter(urns._sample_paths(IP, 0, COMPOSITE, 10**30, 1, steps=1))
         assert next(chunks).shape == (CHUNK_TRIALS, 3)
-        del chunks
         assert threading.active_count() == running
 
     def test_seed_changes_counts(self):
