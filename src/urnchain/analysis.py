@@ -4,6 +4,7 @@ driven by the composite chain's four-band recursion."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .coefficients import LUCoefficients, Scalar, TransitionRow, reconstruct_row
@@ -25,37 +26,37 @@ class EmpiricalDistribution(NamedTuple):
             raise ValueError("empty sample")
         return cls(cleaned, total)
 
-    def frequencies(self) -> dict[int, float]:
-        return {state: count / self.total for state, count in self.counts.items()}
+    def frequencies(self) -> dict[int, Fraction]:
+        """Each state's exact share of the sample, count / total."""
+        return {state: Fraction(count, self.total) for state, count in self.counts.items()}
 
 
-def _as_probabilities(dist) -> dict[int, float]:
+def _as_probabilities(dist) -> dict[int, Fraction]:
     if isinstance(dist, EmpiricalDistribution):
         return dist.frequencies()
     if isinstance(dist, TransitionRow):
         dist = dist.probabilities()
-    return {int(state): float(p) for state, p in dist.items()}
+    return {int(state): Fraction(p) for state, p in dist.items()}
 
 
 def tv_distance(first, second) -> float:
     """Total variation distance: half the L1 distance between two
-    distributions over the union of their supports.  Accepts empirical
-    distributions, transition rows, or plain state -> probability maps."""
+    distributions over the union of their supports, summed exactly and
+    rounded once.  Accepts empirical distributions, transition rows, or
+    plain state -> probability maps; a float counts at its exact binary
+    value, and a NaN or infinity raises (ValueError, OverflowError)."""
     p = _as_probabilities(first)
     q = _as_probabilities(second)
-    support = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(state, 0.0) - q.get(state, 0.0)) for state in support)
+    return float(sum(abs(p.get(state, 0) - q.get(state, 0)) for state in p.keys() | q.keys()) / 2)
 
 
 def chi_square_statistic(
     empirical: EmpiricalDistribution, exact
 ) -> tuple[float, int]:
     """Pearson statistic of an observed sample against an exact law,
-    with dof = support size - 1 (no parameters are estimated).
-
-    Raises on a zero expected cell and on observed mass outside the
-    exact support.  The cells are added in descending state order, a
-    TransitionRow's, so the law's own key order cannot move a bit.
+    with dof = support size - 1 (no parameters are estimated), summed
+    exactly and rounded once.  Raises on a zero expected cell and on
+    observed mass outside the exact support.
     """
     expected = _as_probabilities(exact)
     if any(p <= 0.0 for p in expected.values()):
@@ -63,12 +64,9 @@ def chi_square_statistic(
     outside = set(empirical.counts) - set(expected)
     if any(empirical.counts[state] > 0 for state in outside):
         raise ValueError(f"observed states {sorted(outside)} outside the exact support")
-    statistic = 0.0
-    for state in sorted(expected, reverse=True):
-        expected_count = empirical.total * expected[state]
-        observed = empirical.counts.get(state, 0)
-        statistic += (observed - expected_count) ** 2 / expected_count
-    return statistic, len(expected) - 1
+    n, observed = empirical.total, empirical.counts
+    cells = ((observed.get(state, 0) - n * p) ** 2 / (n * p) for state, p in expected.items())
+    return float(sum(cells)), len(expected) - 1
 
 
 # the bracket's upper end: near x = 1500 the finite sums of

@@ -66,15 +66,15 @@ class TestChiSquare:
         assert statistic < chi_square_threshold(dof)
 
     def test_law_order_does_not_move_a_bit(self):
-        # added in ascending state order the cells give ...711448; the
-        # statistic is the descending sum, a TransitionRow's, in any order
+        # the exact sum, rounded once, for any key order; a float sum of the
+        # cells gives ...71145 in descending state order
         law = composite_distribution(IntegerParameters(13, 46, 3), 36)
         empirical = EmpiricalDistribution.from_counts(
             {35: 36021, 34: 31219, 36: 26027, 37: 41882}
         )
         for order in (sorted(law), sorted(law, reverse=True), list(law)):
             statistic, dof = chi_square_statistic(empirical, {s: law[s] for s in order})
-            assert (statistic, dof) == (192312.5945471145, 3)
+            assert (statistic, dof) == (192312.59454711448, 3)
 
     def test_zero_expected_cell_rejected(self):
         empirical = EmpiricalDistribution.from_counts({0: 1})
@@ -126,6 +126,58 @@ class TestChiSquare:
             chi_square_threshold(dof, level)
 
 
+@st.composite
+def laws_and_counts(draw):
+    """The composite law of a small urn at a small start state, and
+    counts on each of its states."""
+    ip = draw(st.builds(IntegerParameters, st.integers(1, 60), st.integers(1, 60),
+                        st.integers(0, 8)))
+    law = composite_distribution(ip, draw(st.integers(0, 12)))
+    counts = draw(st.fixed_dictionaries({state: st.integers(0, 10**5) for state in law}))
+    return law, {**counts, max(law): counts[max(law)] + 1}  # a non-empty sample
+
+
+class TestExactStatistics:
+    """Both statistics are the exact rational value, rounded once."""
+
+    def test_pinned_law_and_counts(self):
+        # a float sum gives tv ...845 (...844 from Python 3.12 on, whose
+        # sum() compensates) and chi-square 9.063650407518669
+        law = composite_distribution(IntegerParameters(3, 37, 6), 3)
+        empirical = EmpiricalDistribution.from_counts({1: 61, 2: 5347, 3: 30855, 4: 63737})
+        assert tv_distance(empirical, law) == 0.004087732106708837
+        assert chi_square_statistic(empirical, law) == (9.06365040751868, 3)
+
+    @given(laws_and_counts())
+    def test_equal_the_rounded_exact_expression(self, law_and_counts):
+        # the oracle works on integers: each probability p is w / scale
+        law, counts = law_and_counts
+        scale = math.lcm(*(p.denominator for p in law.values()))
+        weight = {s: int(p * scale) for s, p in law.items()}
+        n = sum(counts.values())
+        tv = Fraction(sum(abs(counts[s] * scale - n * w) for s, w in weight.items()), 2 * n * scale)
+        chi = sum(Fraction((counts[s] * scale - n * w) ** 2, scale * n * w)
+                  for s, w in weight.items())
+        empirical = EmpiricalDistribution.from_counts(counts)
+        assert tv_distance(empirical, law) == float(tv)
+        assert chi_square_statistic(empirical, law) == (float(chi), len(law) - 1)
+
+    def test_float_cell_counts_at_its_binary_value(self):
+        # 0.1 is 3602879701896397 / 2**55, a little above 1/10
+        tv = tv_distance({0: 0.1, 1: 0.9}, {0: F(1, 10), 1: F(9, 10)})
+        assert tv == float((abs(F(0.1) - F(1, 10)) + abs(F(0.9) - F(9, 10))) / 2)
+        assert tv > 0
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_raises(self, cell):
+        # Fraction refuses them: ValueError for NaN, OverflowError for an infinity
+        empirical = EmpiricalDistribution.from_counts({0: 1, 1: 1})
+        with pytest.raises((ValueError, OverflowError)):
+            tv_distance({0: cell, 1: 0.5}, empirical)
+        with pytest.raises((ValueError, OverflowError)):
+            chi_square_statistic(empirical, {0: cell, 1: 0.5})
+
+
 class TestRowSampling:
     def test_degenerate_row_always_moves_up(self):
         row = TransitionRow(0, 1, 0, None, None)
@@ -165,7 +217,8 @@ class TestEmpiricalDistribution:
     def test_frequencies_sum_to_one(self):
         empirical = EmpiricalDistribution.from_counts(Counter({2: 5, 3: 15}))
         assert empirical.total == 20
-        assert sum(empirical.frequencies().values()) == pytest.approx(1.0)
+        assert empirical.frequencies() == {2: F(1, 4), 3: F(3, 4)}
+        assert sum(empirical.frequencies().values()) == 1
 
     def test_rejects_empty_and_negative(self):
         with pytest.raises(ValueError):
