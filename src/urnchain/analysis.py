@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .coefficients import LUCoefficients, Scalar, TransitionRow, reconstruct_row
 
@@ -146,9 +146,14 @@ def evaluate_polynomials(c: LUCoefficients, x: Scalar, n_max: int) -> Polynomial
         raise ValueError(
             f"insufficient coefficients: need indices 0..{n_max - 1}, have 0..{c.n_max}"
         )
+    return PolynomialEvaluation(x, _recursion((reconstruct_row(c, n) for n in range(n_max)), x))
+
+
+def _recursion(rows: Iterable[TransitionRow], x: Scalar) -> tuple[Scalar, ...]:
+    """q_0(x)..q_n(x) from the composite rows 0..n - 1 by the recursion of
+    :func:`evaluate_polynomials`: one table of rows serves every x."""
     values: list[Scalar] = [type(x)(1)]  # q_0 in x's kind: a Fraction prints as "1"
-    for n in range(n_max):
-        row = reconstruct_row(c, n)
+    for n, row in enumerate(rows):
         if not row.a > 0:
             raise ValueError(f"up probability a_{n} = {row.a} is not positive")
         acc = (x - row.b) * values[n]
@@ -157,4 +162,4 @@ def evaluate_polynomials(c: LUCoefficients, x: Scalar, n_max: int) -> Polynomial
         if n >= 2:
             acc -= row.d * values[n - 2]
         values.append(acc / row.a)
-    return PolynomialEvaluation(x, tuple(values))
+    return tuple(values)

@@ -66,15 +66,6 @@ class BandedMatrix(NamedTuple("BandedMatrix", [
             rows[i] = tuple(v if 0 <= first + k < size else 0 for k, v in enumerate(rows[i]))
         return cls(size, lower_bandwidth, upper_bandwidth, tuple(rows))
 
-    def row_entries(self, i: int) -> list[tuple[int, Scalar]]:
-        """In-band (column, value) pairs of row i, ascending column."""
-        out = []
-        for k, value in enumerate(self.rows[i]):
-            j = i - self.lower_bandwidth + k
-            if 0 <= j < self.size:
-                out.append((j, value))
-        return out
-
     def scalar_kind(self) -> str:
         """'float' / 'exact' (contains Fraction) / 'int' (ints only),
         from one scan of the entries."""

@@ -66,12 +66,12 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _exact(row: list, **where) -> list:
+def _exact(row: list | tuple, **where) -> list:
     """The row with exact rationals as p/q strings, of any length
     (:func:`main` lifts CPython's int-to-str digit limit).  Called on
     every row before any output starts, so stdout stays empty when a
-    float is not finite (JSON has no such number); ``where`` holds the
-    row's key columns, which the error names."""
+    float is not finite (no JSON number or DOT label is); ``where`` holds
+    the row's key columns, which the error names."""
     for value in row:
         if isinstance(value, float) and not math.isfinite(value):
             at = ", ".join(f"{name} = {key}" for name, key in where.items())
@@ -304,11 +304,11 @@ def cmd_poly(args, params) -> tuple[int, Iterable[str]]:
                 ) from None
         points.append(point)
     coeffs = coefficients.lu_coefficients(params, args.n_max)
+    table = [coefficients.reconstruct_row(coeffs, n) for n in range(args.n_max)]
     header = ["x", "n", "q"]
     rows = []
     for text, point in zip(texts, points):
-        evaluation = analysis.evaluate_polynomials(coeffs, point, args.n_max)
-        for n, value in enumerate(evaluation.values):
+        for n, value in enumerate(analysis._recursion(table, point)):
             rows.append(_exact([point, n, value], x=text, n=n))
     return 0, _emit(args, params, "poly", "rows", header, _row_text(args.format, header, rows))
 
@@ -317,13 +317,14 @@ def cmd_graph(args, params) -> tuple[int, Iterable[str]]:
     coeffs = coefficients.lu_coefficients(params, args.T - 1)
     builder = {"P": "reconstructed_matrix", "PL": "death_factor", "PU": "birth_factor"}[args.which]
     matrix = getattr(banded, builder)(coeffs, args.T)
-    return 0, itertools.chain(
-        [f"digraph {args.which} {{\n  rankdir=LR;\n"],
-        (f"  {state};\n" for state in range(args.T)),
-        (f'  {i} -> {j} [label="{_cell(value)}"];\n'
-         for i in range(args.T) for j, value in matrix.row_entries(i) if value != 0),
-        ["}\n"],
-    )
+    text = [f"digraph {args.which} {{\n  rankdir=LR;\n"]
+    text += (f"  {state};\n" for state in range(args.T))
+    for i, row in enumerate(matrix.rows):
+        _exact(row, state=i)  # every entry is finite before the first byte
+        # row i starts at column i - lower; from_rows stores 0 outside the matrix
+        text += (f'  {i} -> {j} [label="{_cell(value)}"];\n'
+                 for j, value in enumerate(row, i - matrix.lower_bandwidth) if value != 0)
+    return 0, [*text, "}\n"]
 
 
 def build_parser() -> argparse.ArgumentParser:

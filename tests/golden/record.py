@@ -225,6 +225,13 @@ def _edges() -> list:
         ("edge/verify-M-1-N-1-T-30", ["verify", "--M", "1", "--N", "1", "--gamma", "0", "--T", "30"]),
         ("edge/verify-M-1300001-N-7", ["verify", "--M", "1300001", "--N", "7", "--gamma", "5",
                                        "--T", "60"]),
+        # float labels; and an admissible triple whose float formulas
+        # overflow, which leaves P and PL with NaN entries and PU finite
+        *[(f"edge/graph-{name}-{which}", ["graph", *params, "--T", T, "--which", which])
+          for name, params, T in [
+              ("float", ["--alpha", "0.5", "--beta", "0.25", "--gamma", "1"], "6"),
+              ("overflow", ["--alpha", "1e200", "--beta", "1e200", "--gamma", "1e200"], "4"),
+          ] for which in ("P", "PL", "PU")],
     ]
 
 

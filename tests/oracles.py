@@ -57,9 +57,10 @@ def identity(size: int) -> BandedMatrix:
 def to_dense(m: BandedMatrix) -> list[list[Scalar]]:
     """The full matrix: the in-band entries of each row, 0 elsewhere."""
     dense = [[0] * m.size for _ in range(m.size)]
-    for i in range(m.size):
-        for j, value in m.row_entries(i):
-            dense[i][j] = value
+    for i, row in enumerate(m.rows):
+        for j, value in enumerate(row, i - m.lower_bandwidth):
+            if 0 <= j < m.size:
+                dense[i][j] = value
     return dense
 
 

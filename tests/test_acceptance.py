@@ -60,8 +60,11 @@ def test_criterion_1_exact_lu_identity():
             coeffs = lu_coefficients_integer(ip, 199)
             product = multiply(death_factor(coeffs, 200), birth_factor(coeffs, 200))
             direct = reconstructed_matrix(coeffs, 200)
+            # one band shape, so equal band rows are equal rows
+            bands = (product.lower_bandwidth, product.upper_bandwidth)
+            assert bands == (direct.lower_bandwidth, direct.upper_bandwidth), ip
             for i in range(198):
-                assert product.row_entries(i) == direct.row_entries(i), (ip, i)
+                assert product.rows[i] == direct.rows[i], (ip, i)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 

@@ -142,8 +142,7 @@ class TestBandedMatrix:
     def test_from_rows_zeroes_columns_outside_the_matrix(self):
         m = BandedMatrix.from_rows(2, 2, 1, [(1, 2, 3, 4), (5, 6, 7, 8), (9, 9, 9, 9)])
         assert m.rows == ((0, 0, 3, 4), (0, 6, 7, 0))
-        assert m.row_entries(0) == [(0, 3), (1, 4)]
-        assert m.row_entries(1) == [(0, 6), (1, 7)]
+        assert to_dense(m) == [[3, 4], [6, 7]]
 
     def test_from_rows_rejects_bad_sizes(self):
         c = lu_coefficients_integer(IP, 3)
@@ -217,7 +216,7 @@ class TestFactors:
     def test_death_factor_row_two(self):
         c = lu_coefficients_integer(IP, 2)
         m = death_factor(c, 3)
-        assert m.row_entries(2) == [(0, F(14, 297)), (1, F(1369, 4752)), (2, F(117, 176))]
+        assert m.rows[2] == (F(14, 297), F(1369, 4752), F(117, 176))  # columns 0, 1, 2
         assert (m.lower_bandwidth, m.upper_bandwidth) == (2, 0)
 
     def test_death_factor_rows_sum_to_one(self):
@@ -228,13 +227,13 @@ class TestFactors:
     def test_birth_factor_rows(self):
         c = lu_coefficients_integer(IP, 2)
         m = birth_factor(c, 3)
-        assert m.row_entries(0) == [(0, F(3, 7)), (1, F(4, 7))]
+        assert m.rows[0] == (F(3, 7), F(4, 7))  # columns 0, 1
         assert all(sum(m.rows[i]) == 1 for i in range(2))
 
     def test_birth_factor_smallest_grid_point(self):
         c = lu_coefficients_integer(IntegerParameters(1, 1, 0), 1)
         m = birth_factor(c, 2)
-        assert m.row_entries(0) == [(0, F(2, 3)), (1, F(1, 3))]
+        assert m.rows[0] == (F(2, 3), F(1, 3))  # columns 0, 1
 
     def test_insufficient_coefficients(self):
         c = lu_coefficients_integer(IP, 3)
@@ -261,10 +260,10 @@ class TestFactors:
 
     def test_reconstructed_matrix_matches_rows(self):
         c = lu_coefficients_integer(IP, 9)
-        m = reconstructed_matrix(c, 10)
+        dense = to_dense(reconstructed_matrix(c, 10))
         for n in range(10):
             probs = reconstruct_row(c, n).probabilities()
-            for j, value in m.row_entries(n):
+            for j, value in enumerate(dense[n]):
                 assert value == probs.get(j, 0)
 
 

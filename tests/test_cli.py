@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from urnchain import analysis
+from oracles import to_dense
+from urnchain import analysis, banded
 from urnchain.cli import _cell, _json_chunks, _row_text, _trajectory_text, main
 from urnchain.coefficients import (
     IntegerParameters,
@@ -624,7 +626,48 @@ class TestInputGates:
         replay(f"help/{command}")
 
 
+@st.composite
+def graph_parameters(draw) -> tuple[list[str], object]:
+    """A small admissible triple of either form, as flags and as the
+    parameters they build."""
+    if draw(st.booleans()):
+        M, N, gamma = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(0, 6))
+        return ["--M", str(M), "--N", str(N), "--gamma", str(gamma)], IntegerParameters(M, N, gamma)
+    alpha, gamma = draw(st.floats(-0.9, 5)), draw(st.floats(-0.9, 5))
+    beta = max(-0.9, alpha + draw(st.floats(-0.9, 0.9)))
+    # --flag=value, so that a negative value is never read as a flag
+    flags = [f"--alpha={alpha!r}", f"--beta={beta!r}", f"--gamma={gamma!r}"]
+    return flags, Parameters(alpha, beta, gamma)
+
+
 class TestGraph:
+    @settings(max_examples=100, deadline=None)
+    @given(graph_parameters(), st.sampled_from(["P", "PL", "PU"]), st.integers(1, 8))
+    def test_edges_are_the_nonzero_entries_of_the_dense_matrix(self, parameters, which, size):
+        flags, params = parameters
+        code, out, err = run(["graph", *flags, "--which", which, f"--T={size}"])
+        assert (code, err) == (0, "")
+        builder = {"P": "reconstructed_matrix", "PL": "death_factor", "PU": "birth_factor"}[which]
+        dense = to_dense(getattr(banded, builder)(lu_coefficients(params, size - 1), size))
+        expected = [(i, j, _cell(value))
+                    for i, row in enumerate(dense) for j, value in enumerate(row) if value != 0]
+        edges = re.findall(r'^  (\d+) -> (\d+) \[label="([^"]*)"\];$', out, re.MULTILINE)
+        assert [(int(i), int(j), label) for i, j, label in edges] == expected
+        nodes = "".join(f"  {state};\n" for state in range(size))
+        assert out.startswith(f"digraph {which} {{\n  rankdir=LR;\n{nodes}") and out.endswith("}\n")
+        assert out.count("\n") == 3 + size + len(expected)
+
+    def test_a_non_finite_entry_exits_one_before_the_first_byte(self, capsys):
+        # admissible, but the float formulas overflow: P and PL hold NaN
+        triple = ["--alpha", "1e200", "--beta", "1e200", "--gamma", "1e200", "--T", "4"]
+        for which in ("P", "PL"):
+            assert run_cli(capsys, "graph", *triple, "--which", which) == (
+                1, "", "error: value nan at state = 1 is not finite\n"
+            )
+        code, out, err = run_cli(capsys, "graph", *triple, "--which", "PU")
+        assert (code, err) == (0, "")
+        assert set(re.findall(r'label="([^"]*)"', out)) == {"0.5"}
+
     def test_pure_birth_edges_only(self, capsys):
         code, out, _ = run_cli(
             capsys, "graph", "--which", "PU", "--T", "3", "--M", "2", "--N", "3", "--gamma", "1"
