@@ -72,6 +72,9 @@ def chi_square_statistic(
 # the bracket's upper end: near x = 1500 the finite sums of
 # _chi_square_tail start to underflow exp(-x/2) and overflow the terms
 _TAIL_X_MAX = 1024.0
+# the cut's tail probability, the float 1 - 0.999: 0.001 moves 24 of the
+# quantiles for dof 1..60 up one ulp, dof 1-3 among them
+_TAIL_P = 1 - 0.999
 
 
 def _chi_square_tail(x: float, dof: int) -> float:
@@ -94,30 +97,26 @@ def _chi_square_tail(x: float, dof: int) -> float:
     return tail
 
 
-def chi_square_threshold(dof: int, level: float = 0.999) -> float:
-    """Upper quantile of the chi-square distribution used as the
+def chi_square_threshold(dof: int) -> float:
+    """Upper 0.999 quantile of the chi-square distribution, the
     fixed-seed acceptance cut: the smallest double q whose tail
-    (Abramowitz & Stegun 26.4.4 / 26.4.5) is <= 1 - level.
+    (Abramowitz & Stegun 26.4.4 / 26.4.5) is <= 1 - 0.999.
 
     Found by bisection over doubles: the bracket [0, 1024] halves until
-    its midpoint equals an end.  For dof 1, 2 and 3 at the default
-    level this returns the same doubles as ``scipy.stats.chi2.ppf``.  Raises
-    ValueError for a dof that is not an integer >= 1, a level outside
-    (0, 1) (NaN included), and a quantile above 1024.
+    its midpoint equals an end.  For dof 1, 2 and 3 this returns the same
+    doubles as ``scipy.stats.chi2.ppf``.  Raises ValueError for a dof
+    that is not an integer >= 1 and a quantile above 1024.
     """
     if isinstance(dof, bool) or not isinstance(dof, int) or dof < 1:
         raise ValueError(f"dof must be an integer >= 1 (got {dof!r})")
-    if not 0 < level < 1:
-        raise ValueError(f"level must lie in (0, 1) (got {level!r})")
-    alpha = 1 - level
-    if _chi_square_tail(_TAIL_X_MAX, dof) > alpha:
-        raise ValueError(f"chi-square quantile above {_TAIL_X_MAX} (dof {dof}, level {level})")
+    if _chi_square_tail(_TAIL_X_MAX, dof) > _TAIL_P:
+        raise ValueError(f"chi-square quantile above {_TAIL_X_MAX} (dof {dof})")
     low, high = 0.0, _TAIL_X_MAX
     while True:
         mid = (low + high) / 2
         if mid in (low, high):
             return high
-        if _chi_square_tail(mid, dof) <= alpha:
+        if _chi_square_tail(mid, dof) <= _TAIL_P:
             high = mid
         else:
             low = mid

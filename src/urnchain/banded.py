@@ -206,9 +206,7 @@ def _sum_excess(rows: Iterable[Sequence[Scalar]], exact: bool) -> Iterator[Scala
             yield abs(total - 1)
 
 
-def verify_factorization(
-    c: LUCoefficients, size: int, tolerance: float | None = None
-) -> FactorizationReport:
+def verify_factorization(c: LUCoefficients, size: int) -> FactorizationReport:
     """Build the chain two ways and report their agreement.
 
     Route one assembles the pentadiagonal rows directly from the factor
@@ -220,10 +218,10 @@ def verify_factorization(
     A check's deviation is the largest absolute difference over its
     entries (for coefficient bounds, the distance outside [0, 1]), 0
     when it has none, or NaN, which fails the check; it passes when
-    finite and, compared exactly, at most ``tolerance``.
-    ``tolerance`` defaults to 0 for exact coefficients and 1e-12 for
-    float coefficients (entries are O(1) ratios and the products sum at
-    most three terms, so no cancellation grows the error).
+    finite and, compared exactly, at most the report's tolerance: 0 for
+    an exact product and 1e-12 for a float one (entries are O(1) ratios
+    and the products sum at most three terms, so no cancellation grows
+    the error).  No caller sets it: the gate cannot be loosened.
 
     Unless the product is float, each check first settles an entry whose
     values are ints or Fractions on their numerators and denominators
@@ -238,8 +236,7 @@ def verify_factorization(
     direct = reconstructed_matrix(c, size)
     kind = product.scalar_kind()
     exact = kind != "float"  # a float product has no entry worth settling on integers
-    if tolerance is None:
-        tolerance = 0.0 if exact else 1e-12
+    tolerance = 0.0 if exact else 1e-12
 
     def bounded(name: str, deviations: Iterable[Scalar], detail: str) -> CheckResult:
         deviation = _worst(deviations)
@@ -284,14 +281,10 @@ def verify_factorization(
         bounded("product_row_sums", _sum_excess(product_rows, exact),
                 "interior product rows sum to 1"),
     )
-    return FactorizationReport(size, kind, float(tolerance), checks)
+    return FactorizationReport(size, kind, tolerance, checks)
 
 
-def verify_lu(
-    params: Parameters | IntegerParameters,
-    size: int,
-    tolerance: float | None = None,
-) -> FactorizationReport:
+def verify_lu(params: Parameters | IntegerParameters, size: int) -> FactorizationReport:
     """Run :func:`verify_factorization` on coefficients built from the
     given parameter form (exact for integer parameters)."""
-    return verify_factorization(lu_coefficients(params, size - 1), size, tolerance)
+    return verify_factorization(lu_coefficients(params, size - 1), size)

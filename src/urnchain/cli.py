@@ -202,11 +202,7 @@ def cmd_coeffs(args, params) -> tuple[int, Iterable[str]]:
 
 
 def cmd_verify(args, params) -> tuple[int, Iterable[str]]:
-    if not (args.tolerance is None or 0 <= args.tolerance < math.inf):
-        raise coefficients.ParameterError(
-            f"--tolerance must be a finite number >= 0 (got {args.tolerance})"
-        )
-    report = banded.verify_lu(params, args.T, tolerance=args.tolerance)
+    report = banded.verify_lu(params, args.T)
     return 0 if report.passed else 3, _emit(args, params, "verify", **report.to_dict())
 
 
@@ -376,10 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         formats=None,
     )
     sub.add_argument("--T", type=int, default=200, help="truncation dimension (default 200)")
-    sub.add_argument(
-        "--tolerance", type=float, default=None,
-        help="override the per-entry tolerance (default: exact for --M/--N, 1e-12 otherwise)",
-    )
 
     sub = command(
         "simulate", cmd_simulate, "run urn experiments (integer form only)",

@@ -9,6 +9,7 @@ from oracles import regularized_lower_gamma, sample_from_row, sample_row_endpoin
 
 from urnchain.analysis import (
     EmpiricalDistribution,
+    _chi_square_tail,
     chi_square_statistic,
     chi_square_threshold,
     evaluate_polynomials,
@@ -106,24 +107,28 @@ class TestChiSquare:
     def test_quantile_matches_recorded_values(self, dof, quantile):
         assert chi_square_threshold(dof) == pytest.approx(quantile, rel=1e-15, abs=0)
 
-    @given(st.integers(1, 60), st.floats(1e-6, 1 - 1e-9))
-    @example(1, 0.999)
-    @example(60, 1 - 1e-9)
-    @example(1, 1e-6)
-    def test_quantile_inverts_the_incomplete_gamma(self, dof, level):
+    @given(st.integers(1, 60), st.floats(0, 1024, exclude_min=True))
+    @example(1, 1024.0)
+    @example(60, 1024.0)
+    @example(1, 5e-324)
+    def test_tail_matches_the_incomplete_gamma(self, dof, x):
         # an independent oracle: the A&S 6.5.29 series for the CDF, not
         # the erfc / Poisson sums of the tail under test
-        quantile = chi_square_threshold(dof, level)
-        assert abs(regularized_lower_gamma(dof / 2, quantile / 2) - level) <= 1e-12
+        cdf = regularized_lower_gamma(dof / 2, x / 2)
+        assert abs(_chi_square_tail(x, dof) - (1 - cdf)) <= 1e-12
 
-    @pytest.mark.parametrize("dof, level", [
-        (0, 0.999), (True, 0.999), (1, 0.0), (1, 1.0), (1, math.nan),
-        # a quantile above 1024, where the tail sums would underflow
-        (900, 0.999),
-    ])
-    def test_quantile_rejects_bad_input(self, dof, level):
+    def test_quantile_inverts_the_tail(self):
+        # the smallest double whose tail is at most the float 1 - 0.999
+        for dof in range(1, 61):
+            quantile = chi_square_threshold(dof)
+            assert _chi_square_tail(quantile, dof) <= 1 - 0.999, dof
+            assert _chi_square_tail(math.nextafter(quantile, 0), dof) > 1 - 0.999, dof
+
+    # a quantile above 1024 (dof 900), where the tail sums would underflow
+    @pytest.mark.parametrize("dof", [0, True, 900])
+    def test_quantile_rejects_bad_input(self, dof):
         with pytest.raises(ValueError):
-            chi_square_threshold(dof, level)
+            chi_square_threshold(dof)
 
 
 @st.composite

@@ -101,9 +101,10 @@ def worst(deviations):
     return nans[0] if nans else max([0, *deviations])
 
 
-def dense_checks(c: LUCoefficients, size: int, tolerance) -> dict:
+def dense_checks(c: LUCoefficients, size: int) -> dict:
     """Check name -> (passed, deviation), read off dense views of the two
-    factors, their triple-loop product and the direct chain."""
+    factors, their triple-loop product and the direct chain, at the
+    tolerance of the product's kind."""
     lower, upper = to_dense(death_factor(c, size)), to_dense(birth_factor(c, size))
     product = dense_product(lower, upper)
     direct = to_dense(reconstructed_matrix(c, size))
@@ -121,10 +122,9 @@ def dense_checks(c: LUCoefficients, size: int, tolerance) -> dict:
                         for i in range(size - 2) for j in range(size)],
         "product_row_sums": [abs(total(row) - 1) for row in product[:-1]],
     }
-    if tolerance is None:
-        # the report's kind is the product's: floats the factors zero leave it exact
-        floats = any(isinstance(value, float) for row in product for value in row)
-        tolerance = 1e-12 if floats else 0
+    # the report's kind is the product's: floats the factors zero leave it exact
+    floats = any(isinstance(value, float) for row in product for value in row)
+    tolerance = 1e-12 if floats else 0
     out = {"band_structure": (True, 0.0)}
     for name, devs in deviations.items():
         dev = worst(devs)
@@ -311,11 +311,11 @@ class TestVerify:
         check = {c.name: c for c in verify_lu(IP, 3).checks}["lu_identity"]
         assert check.detail == "product vs direct rows 0..0"
 
-    @given(coefficient_tuples(), st.none() | st.floats(0, 10))
-    def test_every_check_matches_a_dense_reference(self, case, tolerance):
+    @given(coefficient_tuples())
+    def test_every_check_matches_a_dense_reference(self, case):
         c, size = case
-        report = verify_factorization(c, size, tolerance)
-        expected = dense_checks(c, size, tolerance)
+        report = verify_factorization(c, size)
+        expected = dense_checks(c, size)
         assert [check.name for check in report.checks] == [
             "coefficient_row_sums", "coefficient_bounds", "boundary_values",
             "band_structure", "factor_row_sums", "lu_identity", "product_row_sums",
@@ -354,32 +354,33 @@ class TestVerify:
         assert len(scanned) == 30 * (3 + 2 + 4)
 
     def test_exact_failures_keep_their_fraction_deviation(self):
-        # s_7 + 1/1000 and x_11 - 1/999; the deviations 1/999 and 1/1000
-        # round to floats below and above the exact values, so a tolerance
-        # equal to the reported deviation fails the first and passes the second
+        # s_7 + 1/1000 and x_11 - 1/999: each failing check reports its
+        # Fraction deviation rounded once, 1/999 and 1/1000
         c = lu_coefficients_integer(IP, 19)
         s, x = list(c.s), list(c.x)
         s[7] += F(1, 1000)
         x[11] -= F(1, 999)
         perturbed = LUCoefficients(tuple(x), c.y, c.t, c.r, tuple(s))
-        pinned = {  # name -> (deviation, passed at that deviation as tolerance)
-            "coefficient_row_sums": (0.001001001001001001, False),
-            "factor_row_sums": (0.001001001001001001, False),
-            "product_row_sums": (0.001, True),
-        }
         report = verify_factorization(perturbed, 20)
         failed = {check.name: (check.deviation, check.passed)
                   for check in report.checks if not check.passed}
-        assert failed == {name: (deviation, False) for name, (deviation, _) in pinned.items()}
-        for name, (deviation, at_deviation) in pinned.items():
-            for tolerance, passed in (
-                (math.nextafter(deviation, 0), False),
-                (deviation, at_deviation),
-                (math.nextafter(deviation, math.inf), True),
-            ):
-                report = verify_factorization(perturbed, 20, tolerance)
-                check = {check.name: check for check in report.checks}[name]
-                assert (check.deviation, check.passed) == (deviation, passed), (name, tolerance)
+        assert failed == {
+            "coefficient_row_sums": (0.001001001001001001, False),
+            "factor_row_sums": (0.001001001001001001, False),
+            "product_row_sums": (0.001, False),
+        }
+        # y_3 + 10**-400: the deviation rounds to 0.0 but is compared exactly
+        y = list(c.y)
+        y[3] += F(1, 10**400)
+        report = verify_factorization(LUCoefficients(c.x, tuple(y), c.t, c.r, c.s), 20)
+        assert [(check.name, check.deviation) for check in report.checks if not check.passed] == [
+            ("coefficient_row_sums", 0.0), ("factor_row_sums", 0.0), ("product_row_sums", 0.0),
+        ]
+
+    @given(coefficient_tuples())
+    def test_tolerance_is_the_kinds_constant(self, case):
+        report = verify_factorization(*case)
+        assert report.tolerance == (1e-12 if report.kind == "float" else 0)
 
     def test_passing_exact_entries_build_no_fraction_deviation(self, monkeypatch):
         # an exact entry whose deviation is 0 is settled on integers; only
@@ -396,11 +397,3 @@ class TestVerify:
             assert verify_lu(IP, size).passed
             counts.append(sum(calls.values()))
         assert counts[0] == counts[1]
-
-    def test_nan_tolerance_fails_everything(self):
-        report = verify_factorization(lu_coefficients_integer(IP, 19), 20, tolerance=float("nan"))
-        assert not any(check.passed for check in report.checks if check.name != "band_structure")
-
-    def test_negative_tolerance_fails_everything(self):
-        report = verify_factorization(lu_coefficients_integer(IP, 19), 20, tolerance=-1.0)
-        assert not report.passed
