@@ -4,10 +4,10 @@ transition-diagram export.
 
 Parameters are given either in the general form (--alpha --beta --gamma)
 or the integer urn form (--M --N --gamma); the integer form computes in
-exact rationals and prints them as p/q strings, the general form computes
-in double precision and prints 17 significant digits.  All outputs are
-deterministic functions of the flags, including --seed and regardless of
---threads.
+exact rationals and prints them as p/q strings, the general form in
+double precision, each float printed as its repr (the shortest text that
+round-trips) in every format.  All outputs are deterministic functions
+of the flags, including --seed and regardless of --threads.
 
 :func:`main` is the one input path: before any command runs it checks
 the parameters, the urn form for the commands that draw urns, and each
@@ -58,14 +58,6 @@ DEFAULT_SEED = 0x4A50  # fixed default so bare invocations reproduce byte-identi
 SCHEMA = "1"
 
 
-def _cell(value) -> str:
-    """A cell's text: a float as 17 significant digits, None as an empty
-    cell, anything else as its str()."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return "" if value is None else str(value)
-
-
 def _exact(row: list | tuple, **where) -> list:
     """The row with exact rationals as p/q strings, of any length
     (:func:`main` lifts CPython's int-to-str digit limit).  Called on
@@ -99,13 +91,13 @@ _BLOCK_ROWS = 2048
 
 def _row_text(fmt: str, header, rows) -> Iterator[str]:
     """Each row's text, its cells encoded one by one: a CSV line, or its
-    JSON object.  Rows hold scalars only; a CSV cell is None, a bool, an
-    int, a finite float or a p/q string (see :func:`_exact`), none of
-    which needs quoting."""
+    JSON object.  Rows hold scalars only: None, a bool, an int, a finite
+    float or a p/q string (see :func:`_exact`).  A CSV cell is its str(),
+    None empty, as csv.writer writes it: a float's repr, as in JSON."""
     if fmt == "json":
         return (f"{{\n      {_ROW_ENCODER.encode(dict(zip(header, row)))[1:-1]}\n    }}"
                 for row in rows)
-    return (",".join(map(_cell, row)) + "\n" for row in rows)
+    return (",".join("" if cell is None else str(cell) for cell in row) + "\n" for row in rows)
 
 
 def _json_chunks(payload: dict, key: str, objects) -> Iterable[str]:
@@ -318,7 +310,7 @@ def cmd_graph(args, params) -> tuple[int, Iterable[str]]:
     for i, row in enumerate(matrix.rows):
         _exact(row, state=i)  # every entry is finite before the first byte
         # row i starts at column i - lower; from_rows stores 0 outside the matrix
-        text += (f'  {i} -> {j} [label="{_cell(value)}"];\n'
+        text += (f'  {i} -> {j} [label="{value}"];\n'
                  for j, value in enumerate(row, i - matrix.lower_bandwidth) if value != 0)
     return 0, [*text, "}\n"]
 

@@ -217,6 +217,9 @@ def _edges() -> list:
     for form, params in (("exact", EXACT), ("general", GENERAL)):
         cases += [(f"edge/verify-{form}-T-{T}", ["verify", *params, "--T", T]) for T in "123"]
     return cases + [
+        # the CSV twins of json-table/coeffs-float and json-table/poly-float
+        ("edge/coeffs-float-csv", ["coeffs", *FLOAT, "--n-max", "1"]),
+        ("edge/poly-float-csv", ["poly", *FLOAT, "--n-max", "1", "--x", "1", "--x", "3/4"]),
         # near alpha = gamma = -1 the float formulas cancel: three row-sum
         # checks read 2.2e-5 and verify exits 3
         ("edge/verify-float-cancellation",

@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import to_dense
 from urnchain import analysis, banded
-from urnchain.cli import _cell, _json_chunks, _row_text, _trajectory_text, main
+from urnchain.cli import _json_chunks, _row_text, _trajectory_text, main
 from urnchain.coefficients import (
     IntegerParameters,
     lu_coefficients,
@@ -215,10 +215,16 @@ class TestCoeffs:
         )
         assert code == 0
         c = lu_coefficients(Parameters(0.9, 0.1, 0.5), 6)
-        for row in parse_csv(out):
-            n = int(row["n"])
-            assert float(row["x"]) == c.x[n]
-            assert float(row["s"]) == c.s[n]
+        rows = parse_csv(out)
+        for n, row in enumerate(rows):
+            trow = reconstruct_row(c, n)
+            expected = [c.x[n], c.y[n], c.t[n], c.r[n], c.s[n], trow.a, trow.b, trow.c, trow.d]
+            for key, value in zip("xytrsabcd", expected):
+                # a float's text is its repr, the shortest that round-trips
+                assert row[key] == ("" if value is None else repr(value)), (n, key)
+                assert value is None or float(row[key]) == value
+        # float zeros and ones read as floats, as they do in JSON
+        assert (rows[0]["t"], rows[0]["r"], rows[0]["s"]) == ("0.0", "0.0", "1.0")
 
 
 class TestVerify:
@@ -660,7 +666,7 @@ class TestGraph:
         assert (code, err) == (0, "")
         builder = {"P": "reconstructed_matrix", "PL": "death_factor", "PU": "birth_factor"}[which]
         dense = to_dense(getattr(banded, builder)(lu_coefficients(params, size - 1), size))
-        expected = [(i, j, _cell(value))
+        expected = [(i, j, str(value))
                     for i, row in enumerate(dense) for j, value in enumerate(row) if value != 0]
         edges = re.findall(r'^  (\d+) -> (\d+) \[label="([^"]*)"\];$', out, re.MULTILINE)
         assert [(int(i), int(j), label) for i, j, label in edges] == expected
@@ -714,6 +720,85 @@ class TestGraph:
         assert code == 0
         data = path.read_bytes()
         assert b"\r" not in data and data.endswith(b"}\n")
+
+
+def assert_same_cells(csv_text: str, json_text: str, key: str) -> None:
+    """The CSV table and the JSON table's rows under ``key`` hold the
+    same cells: an empty cell is null, a string the same string, a bool
+    True/False for true/false and a number the text json.dumps gives it."""
+    header, *rows = csv.reader(io.StringIO(csv_text))
+    objects = json.loads(json_text)[key]
+    assert len(rows) == len(objects)
+    for row, obj in zip(rows, objects):
+        assert sorted(obj) == sorted(header)
+        for name, text in zip(header, row):
+            value = obj[name]
+            if value is None:
+                assert text == "", name
+            elif isinstance(value, (str, bool)):
+                assert text == str(value), name
+            else:
+                assert text == json.dumps(value), name
+
+
+POINTS = st.lists(st.sampled_from(["1", "3/4", "-1/2", "1/3", "0", "2"]), min_size=1, max_size=3)
+
+
+class TestOneTextPerValue:
+    """A value prints as one text in every format: a float as its repr,
+    which is its JSON number."""
+
+    @staticmethod
+    def both_formats(argv: list[str]) -> tuple[str, str]:
+        outputs = []
+        for fmt in ("csv", "json"):
+            code, out, err = run([*argv, f"--format={fmt}"])
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        return outputs[0], outputs[1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph_parameters(), st.integers(0, 8))
+    def test_coeffs_csv_and_json_hold_the_same_cells(self, parameters, n_max):
+        flags, _ = parameters
+        assert_same_cells(*self.both_formats(["coeffs", *flags, f"--n-max={n_max}"]), "rows")
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph_parameters(), st.integers(0, 8), POINTS)
+    def test_poly_csv_and_json_hold_the_same_cells(self, parameters, n_max, points):
+        flags, _ = parameters
+        argv = ["poly", *flags, f"--n-max={n_max}", *(f"--x={point}" for point in points)]
+        assert_same_cells(*self.both_formats(argv), "rows")
+
+    def test_compare_csv_and_json_hold_the_same_cells(self):
+        argv = ["compare", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "2",
+                "--initial", "5", "--trials", "2000", "--seed", "7"]
+        assert_same_cells(*self.both_formats(argv), "rows")
+
+    def test_aggregate_csv_and_json_hold_the_same_cells(self):
+        argv = ["simulate", "--M", "2", "--N", "3", "--gamma", "1", "--initial", "4",
+                "--steps", "3", "--trials", "100", "--seed", "2024", "--aggregate"]
+        assert_same_cells(*self.both_formats(argv), "counts")
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph_parameters(), st.integers(1, 8))
+    def test_graph_labels_are_the_json_coefficients(self, parameters, size):
+        flags, _ = parameters
+        code, out, err = run(["graph", *flags, "--which=P", f"--T={size}"])
+        assert (code, err) == (0, "")
+        code, table, err = run(["coeffs", *flags, f"--n-max={size - 1}", "--format=json"])
+        assert (code, err) == (0, "")
+        expected = []
+        for row in json.loads(table)["rows"]:
+            n = row["n"]
+            # row n holds d, c, b and a in columns n - 2 to n + 1
+            for j, name in enumerate("dcba", n - 2):
+                value = row[name]
+                if 0 <= j < size and value is not None and Fraction(value) != 0:
+                    text = value if isinstance(value, str) else json.dumps(value)
+                    expected.append((n, j, text))
+        edges = re.findall(r'^  (\d+) -> (\d+) \[label="([^"]*)"\];$', out, re.MULTILINE)
+        assert [(int(i), int(j), label) for i, j, label in edges] == expected
 
 
 class TestPinnedOutput:
@@ -795,9 +880,7 @@ class TestJsonTable:
         # a one-column row of None is '""' to csv.writer, hence two columns
         _, _, header, rows = table
         cells = io.StringIO()
-        csv.writer(cells, lineterminator="\n").writerows(
-            [_cell(value) if isinstance(value, float) else value for value in row] for row in rows
-        )
+        csv.writer(cells, lineterminator="\n").writerows(rows)
         assert "".join(_row_text("csv", header, iter(rows))) == cells.getvalue()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
