@@ -7,24 +7,33 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .coefficients import LUCoefficients, Scalar, TransitionRow, reconstruct_row
+from .coefficients import LUCoefficients, Scalar, TransitionRow, _make_checked, reconstruct_row
 
 
-class EmpiricalDistribution(NamedTuple):
-    """Observed end-state counts of a repeated experiment."""
+class EmpiricalDistribution(NamedTuple("EmpiricalDistribution", [
+    ("counts", dict), ("total", int),
+])):
+    """Observed end-state counts of a repeated experiment, checked when it
+    is built: no count is negative, and ``total``, their sum, is not 0."""
 
-    counts: Mapping[int, int]
-    total: int
+    __slots__ = ()
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, int]) -> "EmpiricalDistribution":
+    def __new__(cls, counts: Mapping[int, int], total: int) -> EmpiricalDistribution:
         cleaned = {int(state): int(count) for state, count in sorted(counts.items())}
         if any(count < 0 for count in cleaned.values()):
             raise ValueError("negative count")
-        total = sum(cleaned.values())
+        counted = sum(cleaned.values())
+        if total != counted:
+            raise ValueError(f"total must be the sum of the counts, {counted} (got {total})")
         if total == 0:
             raise ValueError("empty sample")
-        return cls(cleaned, total)
+        return super().__new__(cls, cleaned, counted)
+
+    _make = classmethod(_make_checked)
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, int]) -> EmpiricalDistribution:
+        return cls(counts, sum(map(int, counts.values())))
 
     def frequencies(self) -> dict[int, Fraction]:
         """Each state's exact share of the sample, count / total."""

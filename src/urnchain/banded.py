@@ -4,7 +4,8 @@ Builds the pure-death factor (lower bandwidth 2), the pure-birth factor
 (upper bandwidth 1) and the pentadiagonal composite chain from their band
 rows (the coefficient tuples and :func:`reconstruct_row`), multiplies
 banded truncations row by row, and cross-checks that the factor product
-equals the directly reconstructed chain.
+equals the directly reconstructed chain.  Each builds through the
+:class:`BandedMatrix` constructor, the one check that a table covers the size.
 
 Truncating a semi-infinite matrix loses mass off the right edge in the
 last ``upper_bandwidth`` rows.  The row-sum checks leave those rows out;
@@ -23,6 +24,7 @@ from .coefficients import (
     LUCoefficients,
     Parameters,
     Scalar,
+    _make_checked,
     lu_coefficients,
     reconstruct_row,
 )
@@ -35,26 +37,22 @@ class BandedMatrix(NamedTuple("BandedMatrix", [
 
     ``rows[i][k]`` holds entry (i, i - lower_bandwidth + k); positions
     whose column falls outside [0, size) are stored as zero and are
-    structurally zero outside the band.  :meth:`from_rows` builds one
-    from the band of each row.
+    structurally zero outside the band.  The constructor checks the band
+    rows, and ``_make``, ``_replace``, ``copy`` and ``pickle`` call it.
     """
 
     __slots__ = ()
 
-    @classmethod
-    def from_rows(
-        cls, size: int, lower_bandwidth: int, upper_bandwidth: int,
-        band_rows: Iterable[Sequence[Scalar]],
-    ) -> "BandedMatrix":
-        """Construct from the first ``size`` >= 1 band rows and bandwidths
-        >= 0: row i gives its lower + upper + 1 values at columns i - lower
-        .. i + upper, and those outside [0, size) are stored as 0.  The band
-        builders' one check that a coefficient table covers the size."""
+    def __new__(cls, size: int, lower_bandwidth: int, upper_bandwidth: int,
+                rows: Iterable[Sequence[Scalar]]) -> BandedMatrix:
+        """Keep the first ``size`` >= 1 band rows, bandwidths >= 0: row i gives
+        its lower + upper + 1 values at columns i - lower .. i + upper, stored
+        as 0 outside [0, size); fewer rows raise ``insufficient rows``."""
         if size < 1:
             raise ValueError(f"size must be >= 1 (got {size})")
         if min(lower_bandwidth, upper_bandwidth) < 0:
             raise ValueError(f"bandwidths must be >= 0 (got {lower_bandwidth}, {upper_bandwidth})")
-        rows = [tuple(band) for band in islice(band_rows, size)]
+        rows = [tuple(band) for band in islice(rows, size)]
         if len(rows) < size:
             raise ValueError(f"insufficient rows: {len(rows)} band rows for a {size}x{size} matrix")
         width = lower_bandwidth + upper_bandwidth + 1
@@ -64,7 +62,9 @@ class BandedMatrix(NamedTuple("BandedMatrix", [
         for i in {*range(min(lower_bandwidth, size)), *range(max(size - upper_bandwidth, 0), size)}:
             first = i - lower_bandwidth
             rows[i] = tuple(v if 0 <= first + k < size else 0 for k, v in enumerate(rows[i]))
-        return cls(size, lower_bandwidth, upper_bandwidth, tuple(rows))
+        return super().__new__(cls, size, lower_bandwidth, upper_bandwidth, tuple(rows))
+
+    _make = classmethod(_make_checked)
 
     def scalar_kind(self) -> str:
         """'float' / 'exact' (contains Fraction) / 'int' (ints only),
@@ -100,32 +100,32 @@ def multiply(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
         for k, left in enumerate(left_row, i - a.lower_bandwidth):
             if 0 <= k < size:
                 # b's row k lands on band positions k - i + a.lower_bandwidth
-                # on; its padding lands past the edges, which from_rows zeroes
+                # on; its padding lands past the edges, which the constructor zeroes
                 for position, right in enumerate(b_rows[k], k - i + a.lower_bandwidth):
                     term = left * right
                     band[position] = band[position] + term if position < end else term
                 end = position + 1
         rows.append(band)
-    return BandedMatrix.from_rows(size, lower, upper, rows)
+    return BandedMatrix(size, lower, upper, rows)
 
 
 def death_factor(c: LUCoefficients, size: int) -> BandedMatrix:
     """Pure-death factor: row n holds (t_n, r_n, s_n) at columns
     n-2, n-1, n; row 0 is the absorbing row (s_0 = 1)."""
-    return BandedMatrix.from_rows(size, 2, 0, zip(c.t, c.r, c.s))
+    return BandedMatrix(size, 2, 0, zip(c.t, c.r, c.s))
 
 
 def birth_factor(c: LUCoefficients, size: int) -> BandedMatrix:
     """Pure-birth factor: row n holds (y_n, x_n) at columns n, n+1.
     The last row loses x over the truncation edge and is non-interior."""
-    return BandedMatrix.from_rows(size, 0, 1, zip(c.y, c.x))
+    return BandedMatrix(size, 0, 1, zip(c.y, c.x))
 
 
 def reconstructed_matrix(c: LUCoefficients, size: int) -> BandedMatrix:
     """Pentadiagonal composite chain assembled row by row from
     :func:`reconstruct_row` (lower bandwidth 2, upper 1)."""
     rows = (reconstruct_row(c, n) for n in range(c.n_max + 1))
-    return BandedMatrix.from_rows(size, 2, 1, ((row.d, row.c, row.b, row.a) for row in rows))
+    return BandedMatrix(size, 2, 1, ((row.d, row.c, row.b, row.a) for row in rows))
 
 
 class CheckResult(NamedTuple):

@@ -309,7 +309,7 @@ def cmd_graph(args, params) -> tuple[int, Iterable[str]]:
     text += (f"  {state};\n" for state in range(args.T))
     for i, row in enumerate(matrix.rows):
         _exact(row, state=i)  # every entry is finite before the first byte
-        # row i starts at column i - lower; from_rows stores 0 outside the matrix
+        # row i starts at column i - lower; BandedMatrix stores 0 outside the matrix
         text += (f'  {i} -> {j} [label="{value}"];\n'
                  for j, value in enumerate(row, i - matrix.lower_bandwidth) if value != 0)
     return 0, [*text, "}\n"]
@@ -317,9 +317,9 @@ def cmd_graph(args, params) -> tuple[int, Iterable[str]]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser, each subcommand declared once by ``command``: its
-    handler, help and output formats, whether it needs the urn form
-    (--M/--N/--gamma) and its flags' lower bounds, ``(flag, least)``
-    pairs that :func:`main` checks in order."""
+    handler and help, whether it takes ``--format csv|json`` and needs
+    the urn form (--M/--N/--gamma), and its flags' lower bounds,
+    ``(flag, least)`` pairs that :func:`main` checks in order."""
     parser = argparse.ArgumentParser(
         prog="urnchain",
         description=(
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, *bounds, formats=("csv", "json"), urn_form=False):
+    def command(name, func, summary, *bounds, formats=True, urn_form=False):
         sub = subparsers.add_parser(name, help=summary)
         group = sub.add_argument_group("parameters (choose one form)")
         group.add_argument("--alpha", type=float, help="general form: alpha > -1")
@@ -341,10 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--M", type=int, help="integer form: alpha = 1/M, M >= 1")
         group.add_argument("--N", type=int, help="integer form: beta = 1/N, N >= 1")
         if formats:
-            sub.add_argument(
-                "--format", choices=formats, default=formats[0],
-                help=f"output format (default {formats[0]})",
-            )
+            sub.add_argument("--format", choices=["csv", "json"], default="csv",
+                             help="output format (default csv)")
         sub.add_argument("--output", help="write to this path instead of stdout")
         sub.set_defaults(func=func, urn_form=urn_form, bounds=bounds)
         return sub
@@ -361,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command(
         "verify", cmd_verify, "factorization and invariant checks (JSON report)", ("--T", 1),
-        formats=None,
+        formats=False,
     )
     sub.add_argument("--T", type=int, default=200, help="truncation dimension (default 200)")
 
@@ -403,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = command(
-        "graph", cmd_graph, "transition digraph in DOT format", ("--T", 1), formats=["dot"]
+        "graph", cmd_graph, "transition digraph in DOT format", ("--T", 1), formats=False
     )
     sub.add_argument(
         "--which", choices=["P", "PL", "PU"], default="P",

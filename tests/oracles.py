@@ -44,7 +44,7 @@ def build(
 ) -> BandedMatrix:
     """A banded matrix from a function giving the in-band entry (i, j),
     called only for columns inside [0, size)."""
-    return BandedMatrix.from_rows(size, lower, upper, (
+    return BandedMatrix(size, lower, upper, (
         [entry_fn(i, j) if 0 <= j < size else 0 for j in range(i - lower, i + upper + 1)]
         for i in range(size)
     ))

@@ -154,7 +154,9 @@ def input_checks() -> dict:
     ip = urnchain.IntegerParameters(2, 3, 1)
     # x_0 = 0: the chain cannot leave state 0, so q_1 is undefined
     stuck = urnchain.LUCoefficients(*[(Fraction(value),) * 2 for value in (0, 1, 1, 0, 0)])
-    mixed = urnchain.BandedMatrix.from_rows(2, 0, 0, [(0.5,), (Fraction(1, 2),)])
+    mixed = urnchain.BandedMatrix(2, 0, 0, [(0.5,), (Fraction(1, 2),)])
+    death = urnchain.death_factor(urnchain.lu_coefficients(ip, 2), 3)
+    pair = urnchain.EmpiricalDistribution.from_counts({0: 1, 1: 1})
     return {
         "walk-experiment": (lambda: urnchain.sample_endpoints(ip, 0, 3, 1, 1),
                             r"experiment must be one of \(1, 2, 'composite'\) \(got 3\)"),
@@ -172,10 +174,21 @@ def input_checks() -> dict:
         "polynomials-up-probability": (lambda: urnchain.evaluate_polynomials(stuck, 1, 1),
                                        r"up probability a_0 = 0 is not positive"),
         "scalar-kind-mixed": (mixed.scalar_kind, r"matrix mixes float and Fraction entries"),
-        "from-rows-bandwidth": (lambda: urnchain.BandedMatrix.from_rows(3, -1, 0, [(1,)] * 3),
-                                r"bandwidths must be >= 0 \(got -1, 0\)"),
-        "from-rows-width": (lambda: urnchain.BandedMatrix.from_rows(3, 1, 1, [(1,)] * 3),
-                            r"band rows must hold 3 values \(lower \+ upper \+ 1\)"),
+        # the constructor is the one check: _make and _replace go through it
+        "banded-bandwidth": (lambda: urnchain.BandedMatrix(3, -1, 0, [(1,)] * 3),
+                             r"bandwidths must be >= 0 \(got -1, 0\)"),
+        "banded-width": (lambda: urnchain.BandedMatrix(3, 1, 1, [(1,)] * 3),
+                         r"band rows must hold 3 values \(lower \+ upper \+ 1\)"),
+        "banded-rows": (lambda: urnchain.BandedMatrix(3, 0, 0, [(1,), (1,)]),
+                        r"insufficient rows: 2 band rows for a 3x3 matrix"),
+        "banded-replace-size": (lambda: death._replace(size=5),
+                                r"insufficient rows: 3 band rows for a 5x5 matrix"),
+        "banded-replace-bandwidth": (lambda: death._replace(lower_bandwidth=0),
+                                     r"band rows must hold 1 values \(lower \+ upper \+ 1\)"),
+        "empirical-total": (lambda: urnchain.EmpiricalDistribution({0: 5}, 3),
+                            r"total must be the sum of the counts, 5 \(got 3\)"),
+        "empirical-replace-negative": (lambda: pair._replace(counts={0: -4, 1: 6}),
+                                       r"negative count"),
     }
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -55,7 +57,7 @@ def banded_pairs(draw):
         lower, upper = draw(st.integers(0, 3)), draw(st.integers(0, 3))
         band = st.lists(values, min_size=lower + upper + 1, max_size=lower + upper + 1)
         rows = draw(st.lists(band, min_size=size, max_size=size))
-        return BandedMatrix.from_rows(size, lower, upper, rows)
+        return BandedMatrix(size, lower, upper, rows)
 
     return matrix(), matrix()
 
@@ -139,18 +141,30 @@ class TestBandedMatrix:
         assert dense[0][3] == 0
         assert dense[4][1] == 0
 
-    def test_from_rows_zeroes_columns_outside_the_matrix(self):
-        m = BandedMatrix.from_rows(2, 2, 1, [(1, 2, 3, 4), (5, 6, 7, 8), (9, 9, 9, 9)])
+    def test_constructor_zeroes_columns_outside_the_matrix(self):
+        m = BandedMatrix(2, 2, 1, [(1, 2, 3, 4), (5, 6, 7, 8), (9, 9, 9, 9)])
         assert m.rows == ((0, 0, 3, 4), (0, 6, 7, 0))
         assert to_dense(m) == [[3, 4], [6, 7]]
 
-    def test_from_rows_rejects_bad_sizes(self):
+    def test_constructor_rejects_bad_sizes(self):
         c = lu_coefficients_integer(IP, 3)
         for build_factor in (death_factor, birth_factor, reconstructed_matrix):
             with pytest.raises(ValueError, match="size must be >= 1"):
                 build_factor(c, 0)
         with pytest.raises(ValueError, match="2 band rows for a 3x3 matrix"):
-            BandedMatrix.from_rows(3, 0, 0, [(1,), (1,)])
+            BandedMatrix(3, 0, 0, [(1,), (1,)])
+
+    @given(banded_pairs(), st.data())
+    def test_make_replace_copy_and_pickle_build_through_the_constructor(self, pair, data):
+        m = pair[0]
+        assert m._make(m) == m
+        assert copy.copy(m) == m
+        assert pickle.loads(pickle.dumps(m)) == m
+        # a smaller size keeps the leading block, its edge zeroed as built
+        k = data.draw(st.integers(1, m.size))
+        block = m._replace(size=k)
+        assert block == BandedMatrix(k, m.lower_bandwidth, m.upper_bandwidth, m.rows)
+        assert to_dense(block) == [row[:k] for row in to_dense(m)[:k]]
 
     def test_scalar_kind(self):
         assert identity(3).scalar_kind() == "int"
@@ -241,7 +255,7 @@ class TestFactors:
             death_factor(c, 5)
 
     def test_short_table_raises_the_same_error_in_every_builder(self):
-        # from_rows is the one check, so reconstructed_matrix raises it too
+        # the constructor is the one check, so reconstructed_matrix raises it too
         # rather than an IndexError from reconstruct_row
         c = lu_coefficients_integer(IP, 3)
         for build_factor in (death_factor, birth_factor, reconstructed_matrix):

@@ -685,6 +685,12 @@ class TestGraph:
         assert (code, err) == (0, "")
         assert set(re.findall(r'label="([^"]*)"', out)) == {"0.5"}
 
+    def test_format_flag_exits_two(self):
+        # DOT is graph's one output: --format is argparse's usage error
+        code, out, err = run(["graph", "--M", "2", "--N", "3", "--gamma", "1", "--format", "dot"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --format dot" in err
+
     def test_pure_birth_edges_only(self, capsys):
         code, out, _ = run_cli(
             capsys, "graph", "--which", "PU", "--T", "3", "--M", "2", "--N", "3", "--gamma", "1"
